@@ -729,24 +729,87 @@ mod tests {
         );
     }
 
+    /// A run's virtual-time outcome: decision-trace digest, delay bits,
+    /// per-frame paths and `(commit time bits, first frame, new path)` per
+    /// migration.
+    type Outcome = (
+        String,
+        Vec<u64>,
+        Vec<Vec<usize>>,
+        Vec<(u64, u64, Vec<usize>)>,
+    );
+
+    fn outcome(run: &AdaptiveRun) -> Outcome {
+        (
+            crate::json_digest(&run.decisions),
+            run.delays.iter().map(|d| d.to_bits()).collect(),
+            run.paths.clone(),
+            run.migrations
+                .iter()
+                .map(|m| (m.at.to_bits(), m.first_iteration, m.new_path.clone()))
+                .collect(),
+        )
+    }
+
     #[test]
     fn adaptive_runs_are_deterministic_per_seed() {
-        let s = spec(8, 1.0);
-        let a = run_adaptive_loop(&s, AdaptPolicy::Adaptive).unwrap();
-        let b = run_adaptive_loop(&s, AdaptPolicy::Adaptive).unwrap();
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.delays, b.delays);
-        assert_eq!(a.paths, b.paths);
-        assert_eq!(
-            a.migrations
-                .iter()
-                .map(|m| (m.at.to_bits(), m.new_path.clone()))
-                .collect::<Vec<_>>(),
-            b.migrations
-                .iter()
-                .map(|m| (m.at.to_bits(), m.new_path.clone()))
+        // Pinned outputs: any change to the loop driver, the installer or
+        // the migration protocol that moves a number shows up here.
+        const NO_DECISIONS: &str = "09612b07b5ecb5a5";
+        const PRE: [u64; 4] = [
+            0x3f9bda87e8080358,
+            0x3f9e25bbc300e460,
+            0x3f9e25bbc300e4a0,
+            0x3f9e25bbc300e4a0,
+        ];
+        const SLOW: u64 = 0x3fb7d88b2325eab0;
+        const FAST: u64 = 0x3fa563b201198be0;
+        let via_a = vec![0, 1, 3];
+        let via_b = vec![0, 2, 3];
+        let frames = |tail: [u64; 4]| [PRE.to_vec(), tail.to_vec()].concat();
+        let paths = |switch_at: usize| {
+            (0..8)
+                .map(|k| {
+                    if k < switch_at {
+                        via_a.clone()
+                    } else {
+                        via_b.clone()
+                    }
+                })
                 .collect::<Vec<_>>()
-        );
+        };
+        let expected: [(AdaptPolicy, Outcome); 3] = [
+            (
+                AdaptPolicy::Static,
+                (NO_DECISIONS.into(), frames([SLOW; 4]), paths(8), vec![]),
+            ),
+            (
+                AdaptPolicy::Adaptive,
+                (
+                    "558afb58bfac2c67".into(),
+                    frames([SLOW, SLOW, FAST, FAST]),
+                    paths(6),
+                    vec![(0x3ff534bdedf016e2, 6, via_b.clone())],
+                ),
+            ),
+            (
+                AdaptPolicy::Oracle,
+                (
+                    NO_DECISIONS.into(),
+                    frames([FAST; 4]),
+                    paths(4),
+                    vec![(0x3ff05b50b3a1ad8e, 4, via_b.clone())],
+                ),
+            ),
+        ];
+        let s = spec(8, 1.0);
+        for (policy, pinned) in expected {
+            let a = run_adaptive_loop(&s, policy).unwrap();
+            let b = run_adaptive_loop(&s, policy).unwrap();
+            assert_eq!(a.decisions, b.decisions);
+            assert_eq!(outcome(&a), outcome(&b), "{policy:?} must reproduce");
+            assert_eq!(outcome(&a), pinned, "{policy:?} moved from its pin");
+        }
     }
 
     #[test]

@@ -568,6 +568,26 @@ mod tests {
             .map(|r| r.decision_digest.as_str())
             .collect();
         assert_eq!(digests_a, digests_b, "decision digests must reproduce");
+        let virtual_records: Vec<AdaptSweepRecord> = a
+            .records
+            .iter()
+            .map(|r| AdaptSweepRecord {
+                warm_solve_us: 0.0,
+                cold_solve_us: 0.0,
+                ..r.clone()
+            })
+            .collect();
+        // Pinned outputs (wall-clock solve timings zeroed).
+        assert_eq!(
+            digests_a,
+            [
+                "09612b07b5ecb5a5",
+                "4e1e790aa9d1a85b",
+                "09612b07b5ecb5a5",
+                "2cf990359f6fef51"
+            ]
+        );
+        assert_eq!(crate::json_digest(&virtual_records), "a3d5806f5f3d290d");
         // A different base seed produces a different scenario set.
         let other = run_adapt_sweep(&AdaptSweepConfig {
             seed: config.seed + 1,

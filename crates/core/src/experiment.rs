@@ -424,6 +424,8 @@ mod tests {
         // dynamics (windows, ACKs, cross traffic) the model ignores.
         let ratio = result.measured_delay / result.predicted_delay;
         assert!((0.4..6.0).contains(&ratio), "ratio {ratio}");
+        // Pinned output: the measured delay, bit for bit.
+        assert_eq!(result.iteration_delays[0].to_bits(), 0x3fa142dc7e3ae243);
     }
 
     #[test]

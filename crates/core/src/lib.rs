@@ -70,3 +70,16 @@ pub use sessions::{
     MultiSessionSpec, SessionLoopSpec, SessionMux, SessionRun,
 };
 pub use sweep::{format_sweep_report, run_sweep, ScenarioOutcome, SweepConfig, SweepReport};
+
+/// FNV-1a digest of a value's JSON form: a compact, wall-clock-free
+/// witness the determinism tests pin against constants.
+#[cfg(test)]
+pub(crate) fn json_digest<T: serde::Serialize>(value: &T) -> String {
+    let json = serde_json::to_string(value).expect("test values serialize");
+    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    for byte in json.as_bytes() {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x100_0000_01B3);
+    }
+    format!("{hash:016x}")
+}

@@ -443,6 +443,8 @@ mod tests {
         }
         let b = run_session_sweep(&config);
         assert_eq!(a, b, "virtual-time metrics must reproduce per seed");
+        // Pinned outputs: every record field is virtual-time.
+        assert_eq!(crate::json_digest(&a), "29187d41622d3c28");
         let table = format_session_sweep_report(&a);
         assert!(table.contains("joint/independent fps"));
         assert!(table.contains("cells"));
