@@ -39,6 +39,7 @@ use epoll::{Interest, Poller};
 use ricsa_bench::{
     serve_pollers_cached, serve_pollers_encoding, synth_web_frame, ENCODE_CACHE_POLLERS,
 };
+use ricsa_pipemap::sweep::percentile;
 use ricsa_webfront::http::{read_blocking_response, HttpServerConfig};
 use ricsa_webfront::hub::SessionHub;
 use ricsa_webfront::server::{FrontEndConfig, FrontEndServer};
@@ -239,14 +240,6 @@ fn audit_delivery(
     }
     *last_delivered = seq;
     Some(seq)
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx] as f64 / 1e3
 }
 
 fn raw_fd(stream: &TcpStream) -> epoll::RawFd {
@@ -666,6 +659,15 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
 
     let mut latencies = result.latencies_us;
     latencies.sort_unstable();
+    let latencies_ms: Vec<f64> = latencies.into_iter().map(|us| us as f64 / 1e3).collect();
+    // Nearest-rank percentiles; NaN marks a phase that delivered nothing.
+    let pct = |q| {
+        if latencies_ms.is_empty() {
+            f64::NAN
+        } else {
+            percentile(&latencies_ms, q)
+        }
+    };
     PhaseStats {
         backend: backend_name(config.backend).to_string(),
         mode: config.mode.to_string(),
@@ -683,10 +685,10 @@ fn run_phase(config: &PhaseConfig) -> PhaseStats {
         } else {
             f64::NAN
         },
-        p50_ms: percentile(&latencies, 0.50),
-        p95_ms: percentile(&latencies, 0.95),
-        p99_ms: percentile(&latencies, 0.99),
-        max_ms: latencies.last().map_or(f64::NAN, |&l| l as f64 / 1e3),
+        p50_ms: pct(0.50),
+        p95_ms: pct(0.95),
+        p99_ms: pct(0.99),
+        max_ms: latencies_ms.last().copied().unwrap_or(f64::NAN),
         encodes_per_frame: encode_count as f64 / frames_published.max(1) as f64,
         disconnects: result.disconnects,
         audit: result.audit,

@@ -274,7 +274,7 @@ fn run_dynamic_scenario(config: &AdaptSweepConfig, index: usize) -> AdaptSweepRe
         + adaptive.frames_duplicated
         + oracle.frames_duplicated
         + adaptive_no_rtt.as_ref().map_or(0, |r| r.frames_duplicated);
-    record.decision_digest = decision_digest(&adaptive);
+    record.decision_digest = json_digest(&adaptive.decisions);
     record.warm_solve_us = mean_solve_us(&adaptive);
     record.cold_solve_us = mean_solve_us(&oracle);
     record
@@ -445,10 +445,11 @@ fn mean_solve_us(run: &AdaptiveRun) -> f64 {
     }
 }
 
-/// FNV-1a digest of the run's serialized decision trace — a compact,
-/// wall-clock-free determinism witness.
-fn decision_digest(run: &AdaptiveRun) -> String {
-    let json = serde_json::to_string(&run.decisions).unwrap_or_default();
+/// FNV-1a digest of a value's JSON form — a compact, wall-clock-free
+/// determinism witness (of a decision trace in the records, and of whole
+/// outputs in the pinned tests).
+pub(crate) fn json_digest<T: Serialize>(value: &T) -> String {
+    let json = serde_json::to_string(value).unwrap_or_default();
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for byte in json.as_bytes() {
         hash ^= u64::from(*byte);
@@ -587,7 +588,7 @@ mod tests {
                 "2cf990359f6fef51"
             ]
         );
-        assert_eq!(crate::json_digest(&virtual_records), "a3d5806f5f3d290d");
+        assert_eq!(json_digest(&virtual_records), "a3d5806f5f3d290d");
         // A different base seed produces a different scenario set.
         let other = run_adapt_sweep(&AdaptSweepConfig {
             seed: config.seed + 1,

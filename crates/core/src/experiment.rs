@@ -243,61 +243,18 @@ fn plan_for(
     // pipeline is rebuilt from the scaled byte count).
     let nominal = catalog.datasets.get(dataset).nominal_bytes() as f64;
     let scaled_bytes = (nominal * options.size_scale).max(64.0 * 1024.0) as usize;
-    let mut pipeline = crate::catalog::standard_pipeline(scaled_bytes, &catalog.costs);
-    let choice = spec.path_choice(fig8);
-    let data_source = fig8.node(spec.data_source);
-    let client = fig8.node(Fig8Site::Ornl);
+    let pipeline = crate::catalog::standard_pipeline(scaled_bytes, &catalog.costs);
     let graph = ricsa_pipemap::network::NetGraph::from_topology(&fig8.topology);
-    let src = graph.index_of(data_source);
-    let dst = graph.index_of(client);
-    let (mapping, predicted, overhead) = match &choice {
-        PathChoice::Optimal => {
-            let opt = ricsa_pipemap::dp::optimize(&pipeline, &graph, src, dst)
-                .expect("the Fig. 8 deployment always admits a feasible mapping");
-            (opt.mapping, opt.delay, 1.0)
-        }
-        PathChoice::ForcedPath(path) => {
-            let indices: Vec<usize> = path.iter().map(|n| graph.index_of(*n)).collect();
-            let (m, d) = ricsa_pipemap::baselines::best_split_on_path(&pipeline, &graph, &indices)
-                .expect("forced Fig. 9 loops are connected paths");
-            (m, d, 1.0)
-        }
-        PathChoice::ParaViewCrs {
-            render_server,
-            overhead,
-        } => {
-            let rs = graph.index_of(*render_server);
-            // ParaView's heavier general-purpose stack costs both extra
-            // processing and extra bytes on the wire (serialization,
-            // protocol framing); inflate the pipeline accordingly.
-            let mut heavy = pipeline.clone();
-            heavy.source_bytes *= overhead.max(1.0);
-            for module in &mut heavy.modules {
-                module.output_bytes *= overhead.max(1.0);
-            }
-            let (m, d) = ricsa_pipemap::baselines::paraview_crs_mapping(
-                &heavy, &graph, src, rs, dst, *overhead,
-            )
-            .expect("the ParaView crs deployment is feasible on Fig. 8");
-            pipeline = heavy;
-            (m, d, overhead.max(1.0))
-        }
-    };
-    let vrt = ricsa_pipemap::vrt::VisualizationRoutingTable::from_mapping(
-        &pipeline,
-        &graph,
-        &mapping,
-        predicted.total,
-    );
-    SessionPlan {
-        session: 1,
-        spec: crate::catalog::SessionSpec::Archival { dataset },
+    SessionPlan::for_pipeline(
+        1,
+        crate::catalog::SessionSpec::Archival { dataset },
         pipeline,
-        mapping,
-        vrt,
-        predicted,
-        processing_overhead: overhead,
-    }
+        &graph,
+        fig8.node(spec.data_source),
+        fig8.node(Fig8Site::Ornl),
+        &spec.path_choice(fig8),
+    )
+    .expect("the Fig. 8 deployment admits every Fig. 9/10 loop")
 }
 
 /// Reproduce Fig. 9: the end-to-end delay of all six loops for the three

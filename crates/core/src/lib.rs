@@ -18,16 +18,17 @@
 //! * [`experiment`] — the Fig. 9 / Fig. 10 experiment drivers,
 //! * [`sweep`] — the scenario-sweep driver evaluating the optimizer across
 //!   generated WAN families (see DESIGN.md §6),
-//! * [`adapt`] — the adaptive re-mapping driver: frame-paced loops on
-//!   time-varying WANs with monitor-decided, frame-boundary migrations
-//!   (see DESIGN.md §8),
+//! * [`adapt`] — the adaptive re-mapping loop: one frame-paced loop on a
+//!   time-varying WAN with monitor-decided, frame-boundary migrations
+//!   (see DESIGN.md §8), run as a single session of [`sessions`],
 //! * [`adapt_sweep`] — the dynamic-scenario sweep quantifying
 //!   static-vs-adaptive-vs-oracle win rates across hundreds of seeded
 //!   schedules (see DESIGN.md §9),
-//! * [`sessions`] — multi-session serving: many frame-paced user loops
-//!   contending on one WAN, mapped independently or by the
-//!   contention-aware joint solve, with live spawn/retire/migrate through
-//!   per-node session muxes (see DESIGN.md §11),
+//! * [`sessions`] — multi-session serving and the crate's one externally
+//!   paced loop driver: many frame-paced user loops contending on one
+//!   WAN, mapped independently or by the contention-aware joint solve,
+//!   with live spawn/retire/migrate through per-node session muxes (see
+//!   DESIGN.md §11),
 //! * [`session_sweep`] — the multi-session sweep quantifying
 //!   joint-vs-independent-vs-client/server throughput, tail latency and
 //!   Jain fairness across session counts and contention families,
@@ -70,16 +71,3 @@ pub use sessions::{
     MultiSessionSpec, SessionLoopSpec, SessionMux, SessionRun,
 };
 pub use sweep::{format_sweep_report, run_sweep, ScenarioOutcome, SweepConfig, SweepReport};
-
-/// FNV-1a digest of a value's JSON form: a compact, wall-clock-free
-/// witness the determinism tests pin against constants.
-#[cfg(test)]
-pub(crate) fn json_digest<T: serde::Serialize>(value: &T) -> String {
-    let json = serde_json::to_string(value).expect("test values serialize");
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    format!("{hash:016x}")
-}

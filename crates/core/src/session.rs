@@ -10,7 +10,7 @@
 
 use crate::catalog::{standard_pipeline, SessionSpec, SimulationCatalog};
 use crate::roles::CentralManagerApp;
-use crate::stage::{ClientDrive, StageApp, StageConfig};
+use crate::stage::{stage_configs, ClientDrive, FrameAudit, StageApp, StageConfig};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
@@ -102,55 +102,9 @@ impl SteeringSession {
         let spec = catalog
             .resolve(source_name)
             .ok_or_else(|| PlanError::UnknownSource(source_name.to_string()))?;
-        let dataset_bytes = spec.dataset_bytes(catalog);
-        let mut pipeline = standard_pipeline(dataset_bytes, &catalog.costs);
+        let pipeline = standard_pipeline(spec.dataset_bytes(catalog), &catalog.costs);
         let graph = NetGraph::from_topology(topology);
-        let src = graph.index_of(data_source);
-        let dst = graph.index_of(client);
-
-        let (mapping, predicted, overhead) = match choice {
-            PathChoice::Optimal => {
-                let opt = optimize(&pipeline, &graph, src, dst)
-                    .ok_or_else(|| PlanError::Infeasible("optimizer found no placement".into()))?;
-                (opt.mapping, opt.delay, 1.0)
-            }
-            PathChoice::ForcedPath(path) => {
-                let indices: Vec<usize> = path.iter().map(|n| graph.index_of(*n)).collect();
-                let (mapping, delay) = best_split_on_path(&pipeline, &graph, &indices)
-                    .ok_or_else(|| PlanError::Infeasible(format!("no split on path {path:?}")))?;
-                (mapping, delay, 1.0)
-            }
-            PathChoice::ParaViewCrs {
-                render_server,
-                overhead,
-            } => {
-                let rs = graph.index_of(*render_server);
-                // ParaView's heavier stack costs both extra processing and
-                // extra bytes on the wire; inflate the pipeline accordingly.
-                let mut heavy = pipeline.clone();
-                heavy.source_bytes *= overhead.max(1.0);
-                for module in &mut heavy.modules {
-                    module.output_bytes *= overhead.max(1.0);
-                }
-                let (mapping, delay) =
-                    paraview_crs_mapping(&heavy, &graph, src, rs, dst, *overhead).ok_or_else(
-                        || PlanError::Infeasible("ParaView crs deployment infeasible".into()),
-                    )?;
-                pipeline = heavy;
-                (mapping, delay, overhead.max(1.0))
-            }
-        };
-        let vrt =
-            VisualizationRoutingTable::from_mapping(&pipeline, &graph, &mapping, predicted.total);
-        Ok(SessionPlan {
-            session,
-            spec,
-            pipeline,
-            mapping,
-            vrt,
-            predicted,
-            processing_overhead: overhead,
-        })
+        SessionPlan::for_pipeline(session, spec, pipeline, &graph, data_source, client, choice)
     }
 
     /// Install the applications of a planned session onto a simulator:
@@ -173,55 +127,29 @@ impl SteeringSession {
             !path.contains(&cm_node.0),
             "the CM node must not lie on the data path"
         );
-        let hop_count = path.len();
-        for (i, &node_idx) in path.iter().enumerate() {
-            let node = NodeId(node_idx);
-            let entry = &plan.vrt.entries[i];
-            let power = graph.node(node_idx).power;
-            let processing: f64 = plan.mapping.groups[i]
-                .iter()
-                .map(|&m| plan.pipeline.processing_time(m, power))
-                .sum::<f64>()
-                * plan.processing_overhead;
-            let incoming_bytes = if i == 0 {
-                0
-            } else {
-                plan.vrt.entries[i - 1].forward_bytes as usize
-            };
+        let configs = stage_configs(
+            plan.session,
+            &plan.pipeline,
+            &graph,
+            &plan.mapping,
+            &plan.vrt,
+            target_goodput,
+        );
+        let hop_count = configs.len();
+        for (i, config) in configs.into_iter().enumerate() {
+            let drive = (i + 1 == hop_count).then(|| ClientDrive {
+                cm: cm_node,
+                iterations,
+                source: plan.spec.source_name(),
+                variable: "pressure".to_string(),
+                isovalue: 0.5,
+            });
             let config = StageConfig {
-                session: plan.session,
-                hop_index: i,
-                hop_count,
-                previous: if i > 0 {
-                    Some(NodeId(path[i - 1]))
-                } else {
-                    None
-                },
-                next: if i + 1 < hop_count {
-                    Some(NodeId(path[i + 1]))
-                } else {
-                    None
-                },
-                incoming_bytes,
-                outgoing_bytes: entry.forward_bytes as usize,
-                processing_seconds: processing,
-                target_goodput,
-                stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
-                drive: if i + 1 == hop_count {
-                    Some(ClientDrive {
-                        cm: cm_node,
-                        iterations,
-                        source: plan.spec.source_name(),
-                        variable: "pressure".to_string(),
-                        isovalue: 0.5,
-                    })
-                } else {
-                    None
-                },
-                first_iteration: 0,
-                telemetry: None,
+                processing_seconds: config.processing_seconds * plan.processing_overhead,
+                drive,
+                ..config
             };
-            sim.install(node, Box::new(StageApp::new(config)));
+            sim.install(NodeId(path[i]), Box::new(StageApp::new(config)));
         }
         let participants: Vec<NodeId> = path.iter().map(|&i| NodeId(i)).collect();
         let cm = CentralManagerApp::new(
@@ -234,55 +162,98 @@ impl SteeringSession {
     }
 
     /// Run an installed session until `iterations` images have been
-    /// delivered (or `max_virtual_time` elapses) and return the measured
+    /// delivered (or `max_virtual_time` elapses, or the loop goes idle with
+    /// its event queue drained) and return the measured
     /// end-to-end delay of each iteration: the time from the data source
     /// starting to serve the dataset (its `iteration-start` trace note) to
     /// the finished image arriving at the client — the quantity the paper's
     /// Fig. 9/10 report.
     pub fn run(sim: &mut Simulator, iterations: u64, max_virtual_time: SimTime) -> Vec<f64> {
         let step = SimTime::from_secs(1.0);
+        let mut audit = FrameAudit::default();
         let mut now = SimTime::ZERO;
         while now < max_virtual_time {
-            now = sim.run_until(now + step);
-            if Self::measured_delays(sim).len() as u64 >= iterations {
-                break;
-            }
-            if sim.stats().events_processed > 0 && now == max_virtual_time {
+            let target = now + step;
+            now = sim.run_until(target);
+            audit.update(sim);
+            // A clock left short of the target means the event queue
+            // drained: nothing further can happen, so stop rather than
+            // poll an idle simulator forever.
+            if audit.completions.len() as u64 >= iterations || now < target {
                 break;
             }
         }
-        Self::measured_delays(sim)
+        audit.loop_delays()
     }
 
     /// Pair each iteration's start note (emitted by the data source) with the
     /// client's completion record and return the loop delays in iteration
     /// order.
     pub fn measured_delays(sim: &Simulator) -> Vec<f64> {
-        use ricsa_netsim::trace::TraceKind;
-        let mut starts: Vec<(u64, f64)> = Vec::new();
-        let mut completions: Vec<(u64, f64)> = Vec::new();
-        for event in &sim.trace().events {
-            match &event.kind {
-                TraceKind::Note { label, .. } => {
-                    if let Some(iter) = label.strip_prefix("iteration-start:") {
-                        if let Ok(iter) = iter.parse::<u64>() {
-                            starts.push((iter, event.at.as_secs()));
-                        }
-                    }
-                }
-                TraceKind::IterationCompleted { iteration, .. } => {
-                    completions.push((*iteration, event.at.as_secs()));
-                }
-                _ => {}
+        let mut audit = FrameAudit::default();
+        audit.update(sim);
+        audit.loop_delays()
+    }
+}
+
+impl SessionPlan {
+    /// Plan an already-built `pipeline`: choose its mapping under `choice`
+    /// and build the routing table.  The ParaView deployment replaces the
+    /// pipeline with its byte-inflated copy.
+    pub(crate) fn for_pipeline(
+        session: u64,
+        spec: SessionSpec,
+        pipeline: Pipeline,
+        graph: &NetGraph,
+        data_source: NodeId,
+        client: NodeId,
+        choice: &PathChoice,
+    ) -> Result<SessionPlan, PlanError> {
+        let src = graph.index_of(data_source);
+        let dst = graph.index_of(client);
+        let mut pipeline = pipeline;
+        let (mapping, predicted, overhead) = match choice {
+            PathChoice::Optimal => {
+                let opt = optimize(&pipeline, graph, src, dst)
+                    .ok_or_else(|| PlanError::Infeasible("optimizer found no placement".into()))?;
+                (opt.mapping, opt.delay, 1.0)
             }
-        }
-        let mut delays = Vec::new();
-        for (iteration, finished_at) in completions {
-            if let Some((_, started_at)) = starts.iter().find(|(i, _)| *i == iteration) {
-                delays.push(finished_at - started_at);
+            PathChoice::ForcedPath(path) => {
+                let indices: Vec<usize> = path.iter().map(|n| graph.index_of(*n)).collect();
+                let (mapping, delay) = best_split_on_path(&pipeline, graph, &indices)
+                    .ok_or_else(|| PlanError::Infeasible(format!("no split on path {path:?}")))?;
+                (mapping, delay, 1.0)
             }
-        }
-        delays
+            PathChoice::ParaViewCrs {
+                render_server,
+                overhead,
+            } => {
+                let rs = graph.index_of(*render_server);
+                // ParaView's heavier general-purpose stack costs both extra
+                // processing and extra bytes on the wire (serialization,
+                // protocol framing); inflate the pipeline accordingly.
+                pipeline.source_bytes *= overhead.max(1.0);
+                for module in &mut pipeline.modules {
+                    module.output_bytes *= overhead.max(1.0);
+                }
+                let (mapping, delay) =
+                    paraview_crs_mapping(&pipeline, graph, src, rs, dst, *overhead).ok_or_else(
+                        || PlanError::Infeasible("ParaView crs deployment infeasible".into()),
+                    )?;
+                (mapping, delay, overhead.max(1.0))
+            }
+        };
+        let vrt =
+            VisualizationRoutingTable::from_mapping(&pipeline, graph, &mapping, predicted.total);
+        Ok(SessionPlan {
+            session,
+            spec,
+            pipeline,
+            mapping,
+            vrt,
+            predicted,
+            processing_overhead: overhead,
+        })
     }
 }
 
@@ -389,6 +360,43 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, PlanError::UnknownSource(_)));
         assert!(err.to_string().contains("does-not-exist"));
+    }
+
+    #[test]
+    fn run_returns_once_the_event_queue_drains() {
+        // A drained queue leaves the clock at the last event, so a loop
+        // that goes idle before its last image must still end the run.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let fig8 = fig8_topology();
+            let mut idle = Simulator::new(fig8.topology.clone(), 1);
+            let nothing = SteeringSession::run(&mut idle, 1, SimTime::from_secs(10.0));
+            // A loop driven for one frame, asked for two.
+            let catalog = SimulationCatalog::default();
+            let plan = SessionPlan::for_pipeline(
+                1,
+                SessionSpec::Archival {
+                    dataset: ricsa_vizdata::dataset::DatasetKind::Jet,
+                },
+                standard_pipeline(256 << 10, &catalog.costs),
+                &NetGraph::from_topology(&fig8.topology),
+                fig8.node(Fig8Site::GaTech),
+                fig8.node(Fig8Site::Ornl),
+                &PathChoice::Optimal,
+            )
+            .unwrap();
+            let mut sim = Simulator::new(fig8.topology.clone(), 1);
+            SteeringSession::install(&plan, &mut sim, fig8.node(Fig8Site::Lsu), 1, 200e6);
+            let one = SteeringSession::run(&mut sim, 2, SimTime::from_secs(600.0));
+            tx.send((nothing, one)).unwrap();
+        });
+        let (nothing, one) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run must return on a drained event queue");
+        runner.join().expect("the runner thread finished");
+        assert!(nothing.is_empty());
+        assert_eq!(one.len(), 1);
+        assert!(one[0] > 0.0);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::sweep::scenario_seed;
 use rayon::prelude::*;
 use ricsa_adapt::monitor::AdaptConfig;
 use ricsa_netsim::time::SimTime;
+use ricsa_pipemap::sweep::percentile;
 use serde::{Deserialize, Serialize};
 
 /// One seeded contention-scenario family: how the N co-scheduled
@@ -341,15 +342,6 @@ fn to_record(
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Render a sweep report as an aligned text table plus comparison lines.
 pub fn format_session_sweep_report(report: &SessionSweepReport) -> String {
     let mut out = String::new();
@@ -444,7 +436,7 @@ mod tests {
         let b = run_session_sweep(&config);
         assert_eq!(a, b, "virtual-time metrics must reproduce per seed");
         // Pinned outputs: every record field is virtual-time.
-        assert_eq!(crate::json_digest(&a), "29187d41622d3c28");
+        assert_eq!(crate::adapt_sweep::json_digest(&a), "29187d41622d3c28");
         let table = format_session_sweep_report(&a);
         assert!(table.contains("joint/independent fps"));
         assert!(table.contains("cells"));
@@ -473,14 +465,5 @@ mod tests {
                 ind.predicted_aggregate_s
             );
         }
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.5), 2.0);
-        assert_eq!(percentile(&sorted, 0.99), 4.0);
-        assert_eq!(percentile(&sorted[..1], 0.99), 1.0);
-        assert_eq!(percentile(&[], 0.99), 0.0);
     }
 }

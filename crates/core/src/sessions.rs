@@ -22,9 +22,14 @@
 //!   estimates move when *other* sessions load or free a link: a retiring
 //!   (or migrating) session frees bandwidth and the survivors' detectors
 //!   see the recovery.  With `adaptive` enabled, a confirmed improvement
-//!   migrates the session at its next frame boundary using the same
-//!   quiesce → teardown → VRT-handoff → resume protocol as
-//!   [`crate::adapt`].
+//!   migrates the session at its next frame boundary by the quiesce →
+//!   teardown → VRT-handoff → resume protocol (DESIGN.md §8.5).
+//!
+//! The same driver runs the single adaptive loop of [`crate::adapt`] as
+//! one session, so every externally paced loop in the crate shares one
+//! frame wait, one stage installer, one migration routine and one frame
+//! audit.  Only the paper's client-driven Fig. 9 loop
+//! ([`crate::session::SteeringSession`]) paces itself.
 //! * [`contention_wan`] — the N-session benchmark WAN: every session has a
 //!   fast route over a shared two-hub trunk and a private (slightly
 //!   slower) relay route.  Independent solves all pile onto the trunk;
@@ -33,18 +38,18 @@
 //! DESIGN.md §11 documents the layer; the `session_sweep` bench bin
 //! quantifies joint-vs-independent-vs-client/server across session counts.
 
+use crate::adapt::{AdaptPolicy, MigrationRecord};
 use crate::message::{ControlMessage, CONTROL_REDUNDANCY, KIND_CONTROL};
-use crate::stage::{LinkTelemetrySink, StageApp, StageConfig};
-use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor, Decision};
+use crate::stage::{stage_configs, FrameAudit, LinkTelemetrySink, StageApp, StageConfig};
+use ricsa_adapt::monitor::{AdaptConfig, AdaptMonitor, Decision, DecisionRecord};
 use ricsa_netsim::app::{Application, Context};
-use ricsa_netsim::dynamics::{DynamicScenario, LinkChange, LinkEvent};
+use ricsa_netsim::dynamics::{apply_event_to_topology, DynamicScenario, LinkChange, LinkEvent};
 use ricsa_netsim::link::{LinkId, LinkSpec};
 use ricsa_netsim::node::{NodeId, NodeSpec};
 use ricsa_netsim::packet::{Datagram, Payload};
 use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::topology::Topology;
-use ricsa_netsim::trace::TraceKind;
 use ricsa_pipemap::delay::{evaluate_mapping, Mapping};
 use ricsa_pipemap::dp::{optimize_with, OptimizedMapping};
 use ricsa_pipemap::joint::{contended_delays, solve_joint, JointOptions, JointSession};
@@ -447,61 +452,42 @@ pub fn demo_session_pipeline(scale: f64) -> Pipeline {
 
 // ------------------------------------------------------------ the driver
 
-/// Drain window before a migration's teardown, virtual seconds.
+/// Drain window before a migration's teardown, virtual seconds: long
+/// enough for the completed frame's final-ACK handshakes to settle, short
+/// against any frame time.
 const QUIESCE_S: f64 = 0.25;
-/// Settle window after a migration's VRT handoff, virtual seconds.
+/// Virtual time a migration waits after injecting the VRT handoff so the
+/// control datagrams actually cross the WAN before the new loop is
+/// declared live — the handoff is paid for, not teleported.  Must exceed
+/// the one-way control latency of any supported topology.
 const HANDOFF_SETTLE_S: f64 = 0.05;
-/// Polling granularity of the driving loop, virtual seconds.
+/// Polling granularity of the frame-completion wait, virtual seconds.
 const STEP_S: f64 = 0.25;
 /// Begin re-injections tolerated per frame before a session is declared
 /// stalled.
 const MAX_RETRIES: u32 = 16;
 
-/// Multi-session trace audit: completions are attributed to sessions by
-/// client node, frame starts by source node (which is why those must be
-/// unique per session).  A cursor keeps each trace event read once.
+/// What the driver records per session beyond [`SessionRun`]: the
+/// executed migrations, the adaptive controller's decision trace, and
+/// the wall-clock cost of the controller's re-solves.
 #[derive(Default)]
-struct MultiAudit {
-    pos: usize,
-    /// `(client node, iteration)` → (completions, first completion time).
-    completions: BTreeMap<(usize, u64), (u32, f64)>,
-    /// `(source node, iteration)` → first start time.
-    starts: BTreeMap<(usize, u64), f64>,
-}
-
-impl MultiAudit {
-    fn update(&mut self, sim: &Simulator) {
-        let events = &sim.trace().events;
-        for event in &events[self.pos..] {
-            match &event.kind {
-                TraceKind::IterationCompleted { iteration, .. } => {
-                    let entry = self
-                        .completions
-                        .entry((event.node.0, *iteration))
-                        .or_insert((0, event.at.as_secs()));
-                    entry.0 += 1;
-                }
-                TraceKind::Note { label, .. } => {
-                    if let Some(k) = label.strip_prefix("iteration-start:") {
-                        if let Ok(k) = k.parse::<u64>() {
-                            self.starts
-                                .entry((event.node.0, k))
-                                .or_insert(event.at.as_secs());
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.pos = events.len();
-    }
+pub(crate) struct SessionLog {
+    /// Executed migrations, in order.
+    pub migrations: Vec<MigrationRecord>,
+    /// The monitor's decisions (adaptive controller only).
+    pub decisions: Vec<DecisionRecord>,
+    /// Wall-clock microseconds spent in the controller's re-solves (warm
+    /// for adaptive, cold for oracle).
+    pub solve_us: f64,
+    /// Number of re-solves behind `solve_us`.
+    pub solves: u64,
 }
 
 /// Live state of one session inside the driving loop.
 struct LiveSession {
     spec: SessionLoopSpec,
-    mapping: Mapping,
-    predicted: f64,
+    /// The deployed mapping, priced on the calibration graph.
+    current: OptimizedMapping,
     /// The frame currently being pulled through the loop.
     frame: u64,
     retries: u32,
@@ -509,12 +495,12 @@ struct LiveSession {
     spawned_at: f64,
     done: bool,
     retired_at: Option<f64>,
-    stalled: bool,
     telemetry: LinkTelemetrySink,
-    monitor: Option<AdaptMonitor>,
+    /// Passive estimator of the links the session uses; it decides
+    /// re-maps only under the adaptive controller.
+    monitor: AdaptMonitor,
     pending_remap: Option<Box<OptimizedMapping>>,
-    paths: Vec<Vec<usize>>,
-    migrations: u64,
+    log: SessionLog,
 }
 
 /// Solve the initial mappings under the spec's policy.  Returns one
@@ -586,86 +572,184 @@ fn solve_mappings(
     ))
 }
 
-/// Install one session's stages (its current mapping) into the per-node
-/// muxes, creating and installing a mux shell on nodes that have none yet.
-fn install_session(
-    sim: &mut Simulator,
-    muxes: &mut BTreeMap<usize, SessionMux>,
-    session: &LiveSession,
-    first_iteration: u64,
-    target_goodput: f64,
-) -> Result<(), String> {
-    let LiveSession {
-        spec: session,
-        mapping,
-        predicted,
-        telemetry,
-        ..
-    } = session;
-    let path = &mapping.path;
-    for (i, node) in path.iter().enumerate() {
-        if path[i + 1..].contains(node) {
-            return Err(format!(
-                "session {}: data path revisits node {node}: {path:?}",
-                session.id
-            ));
-        }
-    }
-    let graph = NetGraph::from_topology(sim.topology());
-    let vrt =
-        VisualizationRoutingTable::from_mapping(&session.pipeline, &graph, mapping, *predicted);
-    let hop_count = path.len();
-    for (i, &node_idx) in path.iter().enumerate() {
-        let entry = &vrt.entries[i];
-        let power = graph.node(node_idx).power;
-        let processing: f64 = mapping.groups[i]
-            .iter()
-            .map(|&m| session.pipeline.processing_time(m, power))
-            .sum();
-        let incoming_bytes = if i == 0 {
-            0
-        } else {
-            vrt.entries[i - 1].forward_bytes as usize
-        };
-        let config = StageConfig {
-            session: session.id,
-            hop_index: i,
-            hop_count,
-            previous: (i > 0).then(|| NodeId(path[i - 1])),
-            next: (i + 1 < hop_count).then(|| NodeId(path[i + 1])),
-            incoming_bytes,
-            outgoing_bytes: entry.forward_bytes as usize,
-            processing_seconds: processing,
-            target_goodput,
-            stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
-            drive: None,
-            first_iteration,
-            telemetry: Some(telemetry.clone()),
-        };
-        let mux = muxes.entry(node_idx).or_default();
-        let fresh = mux.sessions().is_empty();
-        mux.insert(session.id, StageApp::new(config));
-        if fresh {
-            sim.install(NodeId(node_idx), mux.shell());
-        }
-    }
-    Ok(())
+/// The driver's shared state: one simulator, the per-node muxes, and the
+/// oracle's ground truth.
+struct Driver<'a> {
+    spec: &'a MultiSessionSpec,
+    schedule: &'a DynamicScenario,
+    control: AdaptPolicy,
+    sim: Simulator,
+    muxes: BTreeMap<usize, SessionMux>,
+    /// The schedule replayed onto a topology copy, up to `truth_applied`
+    /// events: the true link state the oracle re-solves on.
+    truth: Topology,
+    truth_applied: usize,
 }
 
-/// Remove one session's stages from its current path's muxes.
-fn remove_session(muxes: &mut BTreeMap<usize, SessionMux>, session_id: u64, path: &[usize]) {
-    for node in path {
-        if let Some(mux) = muxes.get_mut(node) {
-            mux.remove(session_id);
+impl Driver<'_> {
+    /// Install one session's stages (its current mapping) into the
+    /// per-node muxes, installing a mux shell on nodes that host no
+    /// session yet.
+    fn install(&mut self, session: &LiveSession, first_iteration: u64) -> Result<(), String> {
+        let mapping = &session.current;
+        let path = &mapping.mapping.path;
+        for (i, node) in path.iter().enumerate() {
+            if path[i + 1..].contains(node) {
+                return Err(format!(
+                    "session {}: data path revisits node {node}: {path:?}",
+                    session.spec.id
+                ));
+            }
+        }
+        let graph = NetGraph::from_topology(self.sim.topology());
+        let vrt = VisualizationRoutingTable::from_mapping(
+            &session.spec.pipeline,
+            &graph,
+            &mapping.mapping,
+            mapping.delay.total,
+        );
+        let configs = stage_configs(
+            session.spec.id,
+            &session.spec.pipeline,
+            &graph,
+            &mapping.mapping,
+            &vrt,
+            self.spec.target_goodput,
+        );
+        for (config, &node) in configs.into_iter().zip(path) {
+            let config = StageConfig {
+                first_iteration,
+                telemetry: Some(session.telemetry.clone()),
+                ..config
+            };
+            let mux = self.muxes.entry(node).or_default();
+            let fresh = mux.sessions().is_empty();
+            mux.insert(session.spec.id, StageApp::new(config));
+            if fresh {
+                self.sim.install(NodeId(node), mux.shell());
+            }
+        }
+        Ok(())
+    }
+
+    /// Remove one session's stages from the muxes along `path`.  A mux
+    /// left empty is taken out of the simulator, so stale traffic for that
+    /// node finds no application, as on a node that never hosted a stage.
+    fn remove(&mut self, session: u64, path: &[usize]) {
+        for node in path {
+            if let Some(mux) = self.muxes.get(node) {
+                mux.remove(session);
+                if mux.sessions().is_empty() {
+                    self.sim.take_app(NodeId(*node));
+                }
+            }
         }
     }
-}
 
-/// Inject a redundant `BeginIteration` from the CM to a session's source.
-fn inject_begin(sim: &mut Simulator, cm: NodeId, source: NodeId, session: u64, iteration: u64) {
-    let begin = ControlMessage::BeginIteration { session, iteration };
-    for _ in 0..CONTROL_REDUNDANCY {
-        sim.inject(cm, source, begin.to_payload());
+    /// Inject a redundant `BeginIteration` for the session's current frame
+    /// from the CM to its source.
+    fn inject_begin(&mut self, session: &LiveSession) {
+        let begin = ControlMessage::BeginIteration {
+            session: session.spec.id,
+            iteration: session.frame,
+        };
+        for _ in 0..CONTROL_REDUNDANCY {
+            self.sim
+                .inject(self.spec.cm, session.spec.source, begin.to_payload());
+        }
+    }
+
+    /// Request the session's current frame: first let the controller pick
+    /// the mapping it runs on (migrating if that changed), then inject the
+    /// request.
+    fn begin_frame(&mut self, session: &mut LiveSession) -> Result<(), String> {
+        let next = match self.control {
+            AdaptPolicy::Oracle => self.oracle_solve(session),
+            AdaptPolicy::Static | AdaptPolicy::Adaptive => session.pending_remap.take().map(|b| *b),
+        };
+        if let Some(next) = next {
+            self.migrate(session, next)?;
+        }
+        self.inject_begin(session);
+        Ok(())
+    }
+
+    /// Re-solve the session from scratch on the true current link state;
+    /// `Some` when the optimum differs from the deployed mapping.
+    fn oracle_solve(&mut self, session: &mut LiveSession) -> Option<OptimizedMapping> {
+        let now = self.sim.now().as_secs();
+        let events = &self.schedule.events;
+        while self.truth_applied < events.len() && events[self.truth_applied].at.as_secs() <= now {
+            apply_event_to_topology(
+                &mut self.truth,
+                &self.spec.topology,
+                &events[self.truth_applied],
+            );
+            self.truth_applied += 1;
+        }
+        let graph = NetGraph::from_topology(&self.truth);
+        let s = &session.spec;
+        let started = std::time::Instant::now();
+        let (opt, _) = optimize_with(
+            &s.pipeline,
+            &graph,
+            s.source.0,
+            s.client.0,
+            &self.spec.adapt.options,
+        );
+        session.log.solve_us += started.elapsed().as_secs_f64() * 1e6;
+        session.log.solves += 1;
+        // Any mapping change counts — a shifted module grouping on the
+        // same path is still a different (better) deployment.
+        opt.filter(|o| o.mapping != session.current.mapping)
+    }
+
+    /// Migrate one session at its frame boundary (DESIGN.md §8.5):
+    /// quiesce, tear its stages out of the muxes, pay for the VRT handoff
+    /// on the control channel, and resume on the new path from the frame
+    /// about to be requested, so stale datagrams from the pre-migration
+    /// flows can never open a receiver.  Other sessions keep running
+    /// throughout — the quiesce and settle windows advance the whole
+    /// simulation.
+    fn migrate(&mut self, session: &mut LiveSession, next: OptimizedMapping) -> Result<(), String> {
+        let drain_until = SimTime::from_secs(self.sim.now().as_secs() + QUIESCE_S);
+        self.sim.run_until(drain_until);
+        self.remove(session.spec.id, &session.current.mapping.path);
+        let graph = NetGraph::from_topology(self.sim.topology());
+        let delivery = ControlMessage::VrtDelivery {
+            session: session.spec.id,
+            table: VisualizationRoutingTable::from_mapping(
+                &session.spec.pipeline,
+                &graph,
+                &next.mapping,
+                next.delay.total,
+            ),
+        };
+        let mut handoff_messages = 0u64;
+        for &node in &next.mapping.path {
+            if NodeId(node) == self.spec.cm {
+                continue; // the CM already holds the table
+            }
+            for _ in 0..CONTROL_REDUNDANCY {
+                self.sim
+                    .inject(self.spec.cm, NodeId(node), delivery.to_payload());
+                handoff_messages += 1;
+            }
+        }
+        let old = std::mem::replace(&mut session.current, next);
+        self.install(session, session.frame)?;
+        let settle_until = SimTime::from_secs(self.sim.now().as_secs() + HANDOFF_SETTLE_S);
+        self.sim.run_until(settle_until);
+        session.log.migrations.push(MigrationRecord {
+            at: self.sim.now().as_secs(),
+            first_iteration: session.frame,
+            old_path: old.mapping.path,
+            new_path: session.current.mapping.path.clone(),
+            predicted_old: old.delay.total,
+            predicted_new: session.current.delay.total,
+            handoff_messages,
+        });
+        Ok(())
     }
 }
 
@@ -674,6 +758,30 @@ fn inject_begin(sim: &mut Simulator, cm: NodeId, source: NodeId, session: u64, i
 /// ids/sources/clients, the CM on a data source, an id overflowing the
 /// flow-id session bits, or a session with no feasible mapping.
 pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, String> {
+    let control = if spec.adaptive {
+        AdaptPolicy::Adaptive
+    } else {
+        AdaptPolicy::Static
+    };
+    let no_events = DynamicScenario {
+        label: String::new(),
+        seed: spec.seed,
+        events: Vec::new(),
+    };
+    drive(spec, &no_events, control).map(|(run, _)| run)
+}
+
+/// The frame-paced loop driver behind [`run_multi_session`] and
+/// [`crate::adapt::run_adaptive_loop`]: maps the sessions, applies the
+/// link-event `schedule`, and pulls every session's frames through its
+/// loop, requesting frame `k` only after frame `k-1` reached the client.
+/// At each frame boundary `control` may move a session to a new mapping
+/// through [`Driver::migrate`].
+pub(crate) fn drive(
+    spec: &MultiSessionSpec,
+    schedule: &DynamicScenario,
+    control: AdaptPolicy,
+) -> Result<(MultiSessionRun, Vec<SessionLog>), String> {
     // Structural validation: the audit attributes frames by node.
     let mut ids = HashSet::new();
     let mut sources = HashSet::new();
@@ -706,9 +814,7 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
     let (solved, predicted_aggregate) = solve_mappings(spec, &base_graph)?;
 
     let mut sim = Simulator::new(spec.topology.clone(), spec.seed);
-    let mut muxes: BTreeMap<usize, SessionMux> = BTreeMap::new();
-    let mut audit = MultiAudit::default();
-
+    sim.apply_scenario(schedule);
     // The simulator clock only advances while events are queued; if every
     // live loop retires while a later `start_at` is still pending, the WAN
     // goes idle and time would stand still.  A no-op link event
@@ -731,16 +837,25 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
             events: wakeups,
         });
     }
+    let mut driver = Driver {
+        spec,
+        schedule,
+        control,
+        sim,
+        muxes: BTreeMap::new(),
+        truth: spec.topology.clone(),
+        truth_applied: 0,
+    };
+    let mut audit = FrameAudit::default();
 
     let mut live: Vec<LiveSession> = spec
         .sessions
         .iter()
         .zip(solved)
         .map(|(s, (mapping, predicted))| {
-            let telemetry = LinkTelemetrySink::default();
-            let initial = OptimizedMapping {
-                mapping: mapping.clone(),
+            let current = OptimizedMapping {
                 delay: evaluate_mapping(&s.pipeline, &base_graph, &mapping),
+                mapping,
                 objective: predicted,
             };
             let monitor = AdaptMonitor::with_initial(
@@ -749,24 +864,21 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
                 s.source.0,
                 s.client.0,
                 spec.adapt.clone(),
-                initial,
+                current.clone(),
             );
             LiveSession {
                 spec: s.clone(),
-                paths: vec![mapping.path.clone()],
-                mapping,
-                predicted,
+                current,
                 frame: 0,
                 retries: 0,
                 spawned: false,
                 spawned_at: 0.0,
                 done: false,
                 retired_at: None,
-                stalled: false,
-                telemetry,
-                monitor: Some(monitor),
+                telemetry: LinkTelemetrySink::default(),
+                monitor,
                 pending_remap: None,
-                migrations: 0,
+                log: SessionLog::default(),
             }
         })
         .collect();
@@ -774,106 +886,88 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
     // Spawn the loops due at t = 0 before the first step.
     for session in live.iter_mut() {
         if session.spec.start_at <= 0.0 {
-            install_session(&mut sim, &mut muxes, session, 0, spec.target_goodput)?;
-            inject_begin(&mut sim, spec.cm, session.spec.source, session.spec.id, 0);
+            driver.install(session, 0)?;
+            driver.begin_frame(session)?;
             session.spawned = true;
         }
     }
 
     while live.iter().any(|s| !s.done) {
-        if sim.now() >= spec.max_virtual_time {
+        if driver.sim.now() >= spec.max_virtual_time {
             break;
         }
-        let target = SimTime::from_secs(sim.now().as_secs() + STEP_S).min(spec.max_virtual_time);
-        let reached = sim.run_until(target);
-        audit.update(&sim);
+        let target =
+            SimTime::from_secs(driver.sim.now().as_secs() + STEP_S).min(spec.max_virtual_time);
+        let reached = driver.sim.run_until(target);
+        audit.update(&driver.sim);
         let drained = reached.as_secs() + 1e-9 < target.as_secs();
-        let now = sim.now().as_secs();
+        let now = driver.sim.now().as_secs();
 
         for session in live.iter_mut() {
             // Late spawns join the contention when their time comes.
             if !session.spawned && now >= session.spec.start_at {
                 session.spawned = true;
                 session.spawned_at = now;
-                session.frame = 0;
-                install_session(&mut sim, &mut muxes, session, 0, spec.target_goodput)?;
-                inject_begin(&mut sim, spec.cm, session.spec.source, session.spec.id, 0);
+                driver.install(session, 0)?;
+                driver.begin_frame(session)?;
                 continue;
             }
             if session.done || !session.spawned {
                 continue;
             }
-            let client_node = session.spec.client.0;
-            let frame = session.frame;
-            if audit.completions.contains_key(&(client_node, frame)) {
+            if audit
+                .completions
+                .contains_key(&(session.spec.client.0, session.frame))
+            {
                 // Frame boundary: feed the monitor this frame's telemetry
                 // (sorted link order keeps the decision trace
                 // deterministic) and collect any migration decision.
                 session.retries = 0;
-                if let Some(monitor) = session.monitor.as_mut() {
-                    let snapshot: BTreeMap<(usize, usize), _> = session
-                        .telemetry
-                        .borrow()
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect();
-                    for ((from, to), t) in snapshot {
-                        monitor.ingest(from, to, &t);
-                    }
-                    if let Decision::Remap(opt) = monitor.evaluate(now) {
-                        if spec.adaptive {
-                            session.pending_remap = Some(opt);
-                        }
+                let snapshot: BTreeMap<(usize, usize), _> = session
+                    .telemetry
+                    .borrow()
+                    .iter()
+                    .map(|(k, v)| (*k, v.clone()))
+                    .collect();
+                for ((from, to), t) in snapshot {
+                    session.monitor.ingest(from, to, &t);
+                }
+                if let Decision::Remap(opt) = session.monitor.evaluate(now) {
+                    if control == AdaptPolicy::Adaptive {
+                        session.pending_remap = Some(opt);
                     }
                 }
-                if frame + 1 >= session.spec.frames {
+                if session.frame + 1 >= session.spec.frames {
                     // Retire: the loop is complete; free its links.
-                    let id = session.spec.id;
-                    let path = session.mapping.path.clone();
                     session.done = true;
                     session.retired_at = Some(now);
-                    remove_session(&mut muxes, id, &path);
+                    driver.remove(session.spec.id, &session.current.mapping.path);
                     continue;
                 }
-                if let Some(next) = session.pending_remap.take() {
-                    migrate_session(&mut sim, &mut muxes, spec, session, *next, frame + 1)?;
-                }
                 session.frame += 1;
-                inject_begin(
-                    &mut sim,
-                    spec.cm,
-                    session.spec.source,
-                    session.spec.id,
-                    session.frame,
-                );
+                driver.begin_frame(session)?;
             } else if drained {
                 // The whole event queue drained with this frame missing:
                 // every redundant Begin copy was lost.  Re-inject, bounded.
                 session.retries += 1;
                 if session.retries > MAX_RETRIES {
                     session.done = true;
-                    session.stalled = true;
                 } else {
-                    inject_begin(
-                        &mut sim,
-                        spec.cm,
-                        session.spec.source,
-                        session.spec.id,
-                        session.frame,
-                    );
+                    driver.inject_begin(session);
                 }
             }
         }
     }
 
     // Final audit pass, then per-session accounting.
-    audit.update(&sim);
-    let end = sim.now().as_secs();
+    audit.update(&driver.sim);
+    let end = driver.sim.now().as_secs();
     let mut runs = Vec::with_capacity(live.len());
+    let mut logs = Vec::with_capacity(live.len());
     let mut total_completed = 0u64;
     let mut last_completion: f64 = 0.0;
     let mut rates = Vec::with_capacity(live.len());
-    for session in live {
+    for mut session in live {
         let requested = if session.spawned {
             (session.frame + 1).min(session.spec.frames)
         } else {
@@ -903,88 +997,52 @@ pub fn run_multi_session(spec: &MultiSessionSpec) -> Result<MultiSessionRun, Str
         total_completed += completed;
         last_completion = last_completion.max(session_last);
         rates.push(fps);
-        let link_scales = session
-            .monitor
-            .as_ref()
-            .map(|m| {
-                m.estimates()
-                    .iter()
-                    .map(|(&(from, to), e)| (from, to, e.scale))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let monitor = &session.monitor;
+        if control == AdaptPolicy::Adaptive {
+            let (us, solves) = monitor.solve_timing();
+            session.log.decisions = monitor.decisions().to_vec();
+            session.log.solve_us += us;
+            session.log.solves += solves;
+        }
+        let initial_path = session
+            .log
+            .migrations
+            .first()
+            .map_or(&session.current.mapping.path, |m| &m.old_path);
+        let paths = std::iter::once(initial_path.clone())
+            .chain(session.log.migrations.iter().map(|m| m.new_path.clone()))
+            .collect();
         runs.push(SessionRun {
             id: session.spec.id,
-            paths: session.paths,
+            paths,
             requested,
             completed,
             lost,
             duplicated,
             delays,
             starts,
-            migrations: session.migrations,
+            migrations: session.log.migrations.len() as u64,
             spawned_at: session.spawned_at,
             retired_at: session.retired_at,
             fps,
-            link_scales,
+            link_scales: monitor
+                .estimates()
+                .iter()
+                .map(|(&(from, to), e)| (from, to, e.scale))
+                .collect(),
         });
+        logs.push(session.log);
     }
     let aggregate_fps = total_completed as f64 / last_completion.max(f64::EPSILON);
-    Ok(MultiSessionRun {
+    let run = MultiSessionRun {
         policy: spec.policy.name().to_string(),
         sessions: runs,
         duration: end,
         aggregate_fps,
         fairness: jain_fairness(&rates),
         predicted_aggregate,
-    })
-}
-
-/// Migrate one session at its frame boundary: quiesce, tear its stages
-/// out of the muxes, pay for the VRT handoff on the control channel, and
-/// resume on the new path with `first_iteration` so stale datagrams from
-/// the pre-migration flows can never open a receiver.  Other sessions
-/// keep running throughout — the quiesce/settle windows advance the whole
-/// simulation.
-fn migrate_session(
-    sim: &mut Simulator,
-    muxes: &mut BTreeMap<usize, SessionMux>,
-    spec: &MultiSessionSpec,
-    session: &mut LiveSession,
-    next: OptimizedMapping,
-    first_iteration: u64,
-) -> Result<(), String> {
-    let drain_until = SimTime::from_secs(sim.now().as_secs() + QUIESCE_S);
-    sim.run_until(drain_until);
-    remove_session(muxes, session.spec.id, &session.mapping.path);
-    let graph = NetGraph::from_topology(sim.topology());
-    let vrt = VisualizationRoutingTable::from_mapping(
-        &session.spec.pipeline,
-        &graph,
-        &next.mapping,
-        next.delay.total,
-    );
-    let delivery = ControlMessage::VrtDelivery {
-        session: session.spec.id,
-        table: vrt,
     };
-    for &node_idx in &next.mapping.path {
-        let node = NodeId(node_idx);
-        if node == spec.cm {
-            continue;
-        }
-        for _ in 0..CONTROL_REDUNDANCY {
-            sim.inject(spec.cm, node, delivery.to_payload());
-        }
-    }
-    session.mapping = next.mapping.clone();
-    session.predicted = next.delay.total;
-    session.paths.push(next.mapping.path.clone());
-    session.migrations += 1;
-    install_session(sim, muxes, session, first_iteration, spec.target_goodput)?;
-    let settle_until = SimTime::from_secs(sim.now().as_secs() + HANDOFF_SETTLE_S);
-    sim.run_until(settle_until);
-    Ok(())
+    Ok((run, logs))
 }
 
 #[cfg(test)]

@@ -13,29 +13,34 @@
 //!
 //! The data source reacts to `BeginIteration` control messages instead of an
 //! upstream flow, and the client stage terminates the chain, emitting an
-//! `IterationCompleted` trace record that the experiment driver reads.
+//! `IterationCompleted` trace record that the loop drivers audit.
 
 use crate::message::{ControlMessage, DedupFilter, CONTROL_REDUNDANCY};
 use ricsa_netsim::app::{Application, Context};
 use ricsa_netsim::node::NodeId;
 use ricsa_netsim::packet::{Datagram, Payload};
+use ricsa_netsim::sim::Simulator;
 use ricsa_netsim::time::SimTime;
 use ricsa_netsim::trace::{TraceEvent, TraceKind};
+use ricsa_pipemap::delay::Mapping;
+use ricsa_pipemap::network::NetGraph;
+use ricsa_pipemap::pipeline::Pipeline;
+use ricsa_pipemap::vrt::VisualizationRoutingTable;
 use ricsa_transport::flow::{shared_stats, AckInfo, FlowConfig, KIND_ACK, KIND_DATA};
 use ricsa_transport::receiver::FlowReceiver;
 use ricsa_transport::rm::{RmController, RmParams};
 use ricsa_transport::sender::WindowSender;
 use ricsa_transport::telemetry::FlowTelemetry;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 /// Shared handle collecting per-link passive telemetry from stage
 /// applications: the key is the directed link `(from, to)` in topology
 /// node indices, the value the latest [`FlowTelemetry`] snapshot of the
-/// most recent transfer that crossed it.  The adaptive re-mapping driver
-/// ([`crate::adapt`]) owns the handle and feeds the snapshots to the
-/// monitor after every frame.
+/// most recent transfer that crossed it.  The frame-paced driver
+/// ([`crate::sessions`]) owns one handle per session and feeds the
+/// snapshots to that session's monitor after every frame.
 pub type LinkTelemetrySink = Rc<RefCell<HashMap<(usize, usize), FlowTelemetry>>>;
 
 /// Client-side driving behaviour: the client stage issues the initial
@@ -512,6 +517,106 @@ impl Application for StageApp {
 pub fn send_control(ctx: &mut Context, dst: NodeId, msg: &ControlMessage) {
     for _ in 0..CONTROL_REDUNDANCY {
         ctx.send(dst, msg.to_payload());
+    }
+}
+
+/// The per-hop stage configurations of one mapped loop: hop `i` runs the
+/// modules `mapping` groups on `path[i]` (timed on that node's power),
+/// receives what hop `i-1` forwards and forwards its own output, as `vrt`
+/// routes them.  The loop is paced externally (no client drive), starts
+/// at iteration 0 and reports no telemetry; callers adjust those fields.
+pub(crate) fn stage_configs(
+    session: u64,
+    pipeline: &Pipeline,
+    graph: &NetGraph,
+    mapping: &Mapping,
+    vrt: &VisualizationRoutingTable,
+    target_goodput: f64,
+) -> Vec<StageConfig> {
+    let path = &mapping.path;
+    let hop_count = path.len();
+    (0..hop_count)
+        .map(|i| {
+            let entry = &vrt.entries[i];
+            let power = graph.node(path[i]).power;
+            StageConfig {
+                session,
+                hop_index: i,
+                hop_count,
+                previous: (i > 0).then(|| NodeId(path[i - 1])),
+                next: (i + 1 < hop_count).then(|| NodeId(path[i + 1])),
+                incoming_bytes: if i == 0 {
+                    0
+                } else {
+                    vrt.entries[i - 1].forward_bytes as usize
+                },
+                outgoing_bytes: entry.forward_bytes as usize,
+                processing_seconds: mapping.groups[i]
+                    .iter()
+                    .map(|&m| pipeline.processing_time(m, power))
+                    .sum(),
+                target_goodput,
+                stage_label: format!("{}[{}]", entry.node_name, entry.modules.join(",")),
+                drive: None,
+                first_iteration: 0,
+                telemetry: None,
+            }
+        })
+        .collect()
+}
+
+/// Incremental frame audit over a simulator's trace.  Completions are
+/// attributed to loops by client node and frame starts by source node.
+/// A cursor keeps each trace event read once, so polling the audit every
+/// step of a run costs time linear in the trace, not quadratic.
+#[derive(Default)]
+pub(crate) struct FrameAudit {
+    /// Trace events consumed so far.
+    pos: usize,
+    /// `(client node, iteration)` → (completions, first completion time).
+    pub completions: BTreeMap<(usize, u64), (u32, f64)>,
+    /// `(source node, iteration)` → first `iteration-start` time.
+    pub starts: BTreeMap<(usize, u64), f64>,
+}
+
+impl FrameAudit {
+    /// Read the trace events recorded since the last update.
+    pub fn update(&mut self, sim: &Simulator) {
+        let events = &sim.trace().events;
+        for event in &events[self.pos..] {
+            match &event.kind {
+                TraceKind::IterationCompleted { iteration, .. } => {
+                    let entry = self
+                        .completions
+                        .entry((event.node.0, *iteration))
+                        .or_insert((0, event.at.as_secs()));
+                    entry.0 += 1;
+                }
+                TraceKind::Note { label, .. } => {
+                    if let Some(k) = label.strip_prefix("iteration-start:") {
+                        if let Ok(k) = k.parse::<u64>() {
+                            self.starts
+                                .entry((event.node.0, k))
+                                .or_insert(event.at.as_secs());
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.pos = events.len();
+    }
+
+    /// End-to-end delays of a single loop: each completed frame, in frame
+    /// order, paired with the start of the same frame.
+    pub fn loop_delays(&self) -> Vec<f64> {
+        self.completions
+            .iter()
+            .filter_map(|(&(_, k), &(_, finished))| {
+                let (_, started) = self.starts.iter().find(|((_, s), _)| *s == k)?;
+                Some(finished - started)
+            })
+            .collect()
     }
 }
 

@@ -558,8 +558,10 @@ impl AdaptSweepSummary {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+/// Nearest-rank percentile of an ascending-sorted slice (0 when empty):
+/// the smallest sample with at least a `q` share of the samples at or
+/// below it.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -571,6 +573,15 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::testutil::{random_instance, XorShift};
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.5), 2.0);
+        assert_eq!(percentile(&sorted, 0.99), 4.0);
+        assert_eq!(percentile(&sorted[..1], 0.99), 1.0);
+        assert_eq!(percentile(&[], 0.99), 0.0);
+    }
 
     fn scenario_from_seed(id: u64) -> Scenario {
         let mut rng = XorShift::new(id.wrapping_add(500));
