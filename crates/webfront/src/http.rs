@@ -1,8 +1,12 @@
-//! A high-concurrency HTTP/1.1 server on a fixed worker thread pool.
+//! A high-concurrency HTTP/1.1 server: a fixed worker pool fed by one
+//! readiness reactor.
 //!
 //! The paper's front end must absorb "heavy traffic" from many browsers at
 //! once, so connections are *not* pinned to threads.  A fixed pool of
-//! workers multiplexes all live connections through a shared run queue:
+//! workers services connections from a shared run queue, and a connection
+//! that has nothing to do is parked in the kernel (see
+//! [`crate::readiness`]) until its socket is ready, its deadline passes,
+//! or the hub publishes a frame:
 //!
 //! * **Keep-alive.**  Connections are HTTP/1.1 persistent by default; each
 //!   worker visit reads whatever bytes have arrived (sockets are
@@ -10,22 +14,21 @@
 //!   (pipelining-safe: unconsumed bytes simply stay buffered), and writes
 //!   the responses in order.
 //! * **Deferred responses.**  A handler returns an [`Outcome`]: either a
-//!   ready [`HttpResponse`] or a `Pending` closure the pool re-polls on
-//!   every visit until it produces a response.  This is how `/api/poll`
-//!   long-polls hundreds of clients without blocking a worker per client.
+//!   ready [`HttpResponse`] or a `Pending` closure re-polled whenever the
+//!   connection wakes, until it produces a response.  This is how
+//!   `/api/poll` long-polls hundreds of clients without blocking a worker
+//!   per client.
 //! * **Connection limits.**  Beyond [`HttpServerConfig::max_connections`]
-//!   the acceptor answers `503 Service Unavailable` and closes, so overload
+//!   the reactor answers `503 Service Unavailable` and closes, so overload
 //!   degrades crisply instead of exhausting file descriptors.
-//! * **Graceful shutdown.**  [`HttpServer::shutdown`] stops the acceptor,
-//!   lets workers flush any response that is already computable, closes the
-//!   remaining connections, and joins every thread.
+//! * **Graceful shutdown.**  [`HttpServer::shutdown`] closes the listener,
+//!   lets workers flush any response that is already computable, closes
+//!   the remaining connections, and joins every thread.
 //!
-//! Scheduling granularity: an idle connection is revisited roughly every
-//! [`POLL_INTERVAL`]; that bounds both the long-poll wake-up latency and
-//! the CPU burned on idle connections (each worker naps between
-//! unproductive visits instead of spinning).
+//! Serving needs epoll, so it is Linux-only: elsewhere
+//! [`HttpServer::start`] fails with `ErrorKind::Unsupported`.
 
-use crate::readiness::{Backend, Reactor, Waker};
+use crate::readiness::{Reactor, Waker};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -34,12 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often an idle or pending connection is revisited by the pool.  This
-/// bounds long-poll wake-up latency from below; it is deliberately a couple
-/// of milliseconds — far below a frame interval — so delivery latency is
-/// dominated by the publisher, not the scheduler.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Maximum accepted header-block size; a connection exceeding it is cut
 /// off with `400 Bad Request`.
@@ -441,10 +438,11 @@ pub enum Outcome {
     /// The response is ready now.
     Ready(HttpResponse),
     /// The response is not computable yet (a long-poll waiting for the next
-    /// frame).  The pool re-invokes the closure on every scheduling visit —
-    /// roughly every [`POLL_INTERVAL`] — until it returns `Some`; the
-    /// closure owns its own deadline and returns its timeout response when
-    /// that passes.  No worker thread blocks while the closure waits.
+    /// frame).  The server re-invokes the closure whenever the connection
+    /// wakes — on a [`Waker`] ring, on socket readiness, and at least every
+    /// 50 ms — until it returns `Some`; the closure owns its own deadline
+    /// and returns its timeout response when that passes.  No worker
+    /// thread blocks while the closure waits.
     Pending(Box<dyn FnMut() -> Option<HttpResponse> + Send>),
 }
 
@@ -467,14 +465,6 @@ pub struct HttpServerConfig {
     /// Keep-alive idle timeout: a connection with no request in flight and
     /// no bytes arriving for this long is closed.
     pub keep_alive: Duration,
-    /// Requests served on one connection before the server closes it
-    /// (`0` = unlimited).  A rotation guard against resource pinning.
-    pub max_requests_per_connection: u64,
-    /// How unproductive connections wait: rotated through the pool
-    /// ([`Backend::Pool`], the portable default) or parked in the kernel
-    /// until ready ([`Backend::Readiness`]; falls back to the pool at
-    /// runtime where epoll is unavailable).
-    pub backend: Backend,
 }
 
 impl Default for HttpServerConfig {
@@ -483,8 +473,6 @@ impl Default for HttpServerConfig {
             workers: 8,
             max_connections: 1024,
             keep_alive: Duration::from_secs(30),
-            max_requests_per_connection: 0,
-            backend: Backend::Pool,
         }
     }
 }
@@ -508,7 +496,7 @@ const MAX_IN_BUFFERED: usize = MAX_BODY_BYTES + MAX_HEADER_BYTES + (64 << 10);
 const OUT_COMPACT_THRESHOLD: usize = 64 << 10;
 
 /// One live connection owned by the run queue (or, transiently, by the
-/// worker visiting it, or parked in the readiness reactor).
+/// worker visiting it, or parked in the reactor).
 pub(crate) struct Conn {
     /// Process-unique connection id, stamped into every request dispatched
     /// from this connection ([`HttpRequest::connection`]).
@@ -532,16 +520,30 @@ pub(crate) struct Conn {
     /// The peer has closed its write half (no more requests will arrive;
     /// responses may still be deliverable — HTTP half-close is legal).
     pub(crate) saw_eof: bool,
-    /// Requests served on this connection.
-    served: u64,
     /// Last time bytes arrived or response bytes were flushed.
     pub(crate) last_activity: Instant,
-    /// Earliest next visit worth making (idle connections rotate at
-    /// [`POLL_INTERVAL`]).
-    pub(crate) next_check: Instant,
+    /// When the connection last entered the run queue.
+    queued_at: Instant,
 }
 
 impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        let now = Instant::now();
+        Conn {
+            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
+            stream,
+            buf: Vec::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            close_after_flush: false,
+            pending: None,
+            pending_keep_alive: true,
+            saw_eof: false,
+            last_activity: now,
+            queued_at: now,
+        }
+    }
+
     /// Queue a response for the wire (written by [`try_flush`] as the
     /// socket accepts it).
     fn queue_response(&mut self, resp: &HttpResponse, keep_alive: bool) {
@@ -590,7 +592,7 @@ fn try_flush(conn: &mut Conn) -> Option<bool> {
     Some(wrote)
 }
 
-/// Live backpressure metrics of the worker pool, exported so overload is
+/// Live backpressure metrics of the server, exported so overload is
 /// observable *before* the 503 connection limit trips (ROADMAP item; the
 /// front end serves them on `/api/stats`).  All counters are relaxed
 /// atomics — they are monitoring signals, not synchronization.
@@ -602,8 +604,7 @@ pub struct PoolMetrics {
     queue_depth: AtomicUsize,
     /// Deferred responses (long-polls) currently parked (gauge).
     pending_responses: AtomicUsize,
-    /// Connections parked in the readiness reactor (gauge; zero on the
-    /// rotation-pool backend).
+    /// Connections parked in the reactor (gauge).
     parked: AtomicUsize,
     /// Requests served since start.
     served_total: AtomicU64,
@@ -613,7 +614,7 @@ pub struct PoolMetrics {
     visit_us_total: AtomicU64,
     /// Worst single visit, microseconds.
     visit_us_max: AtomicU64,
-    /// Total microseconds connections waited past their due time before a
+    /// Total microseconds connections waited in the run queue before a
     /// worker reached them (rotation latency).
     rotation_us_total: AtomicU64,
     /// Worst rotation latency, microseconds.
@@ -630,8 +631,7 @@ pub struct PoolMetricsSnapshot {
     pub queue_depth: usize,
     /// Long-polls currently parked as deferred responses.
     pub pending_responses: usize,
-    /// Connections parked in the readiness reactor (zero on the
-    /// rotation-pool backend).
+    /// Connections parked in the reactor.
     pub parked_connections: usize,
     /// Requests served since start.
     pub requests_served: u64,
@@ -641,8 +641,8 @@ pub struct PoolMetricsSnapshot {
     pub mean_visit_us: f64,
     /// Worst per-visit service time, microseconds.
     pub max_visit_us: u64,
-    /// Mean worker rotation latency (lateness past a connection's due
-    /// time), microseconds.
+    /// Mean rotation latency: how long a woken connection waited in the
+    /// run queue for a worker, microseconds.
     pub mean_rotation_us: f64,
     /// Worst rotation latency, microseconds.
     pub max_rotation_us: u64,
@@ -676,7 +676,7 @@ impl PoolMetrics {
         }
     }
 
-    /// Update the parked-connections gauge (readiness reactor only).
+    /// Update the parked-connections gauge (the reactor's).
     pub(crate) fn set_parked(&self, parked: usize) {
         self.parked.store(parked, Ordering::Relaxed);
     }
@@ -687,27 +687,25 @@ pub(crate) struct Shared {
     cvar: Condvar,
     pub(crate) stop: AtomicBool,
     metrics: Arc<PoolMetrics>,
+    max_connections: usize,
 }
 
 impl Shared {
     fn push(&self, conn: Conn) {
-        let mut queue = self.queue.lock();
-        queue.push_back(conn);
-        self.metrics
-            .queue_depth
-            .store(queue.len(), Ordering::Relaxed);
-        drop(queue);
-        self.cvar.notify_one();
+        self.push_batch(vec![conn]);
     }
 
-    /// Requeue a batch of connections the reactor woke together (one lock
-    /// acquisition, one broadcast — a publish wakes thousands of parked
-    /// long-polls at once).
-    pub(crate) fn push_batch(&self, conns: Vec<Conn>) {
+    /// Queue a batch of connections (one lock acquisition, one broadcast —
+    /// a publish wakes thousands of parked long-polls at once).
+    pub(crate) fn push_batch(&self, mut conns: Vec<Conn>) {
         if conns.is_empty() {
             return;
         }
         let single = conns.len() == 1;
+        let now = Instant::now();
+        for conn in &mut conns {
+            conn.queued_at = now;
+        }
         let mut queue = self.queue.lock();
         queue.extend(conns);
         self.metrics
@@ -743,6 +741,61 @@ impl Shared {
             self.cvar.wait_for(&mut queue, Duration::from_millis(50));
         }
     }
+
+    /// Accept every connection waiting in the listener's backlog, without
+    /// blocking: each is queued for a first visit, or — beyond
+    /// `max_connections` — answered `503` and closed.  `Err` on an accept
+    /// error other than an empty backlog; the caller then stops accepting.
+    pub(crate) fn accept_backlog(&self, listener: &TcpListener) -> std::io::Result<()> {
+        loop {
+            let mut stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            if self.metrics.active.load(Ordering::Relaxed) >= self.max_connections {
+                // Crisp overload behaviour: tell the client and close.
+                // Drain whatever request bytes already arrived first —
+                // closing with unread input makes the kernel RST the
+                // connection, which would discard the 503 before the
+                // client reads it.  The drain is bounded so one client
+                // streaming data cannot pin the reactor, and the write
+                // cannot block: a fresh socket's send buffer is empty.
+                let mut sink = [0u8; 1024];
+                let mut drained = 0usize;
+                while drained < 16 << 10 {
+                    match stream.read(&mut sink) {
+                        Ok(n) if n > 0 => drained += n,
+                        _ => break,
+                    }
+                }
+                let _ = stream.write_all(&HttpResponse::service_unavailable().encode(false));
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+                continue;
+            }
+            self.metrics.active.fetch_add(1, Ordering::Relaxed);
+            self.push(Conn::new(stream));
+        }
+    }
+
+    /// Close a connection during shutdown: queue its pending response if
+    /// it is ready right now, flush what the socket accepts, then drop it.
+    /// Clients mid-long-poll see EOF and re-poll.
+    fn close_draining(&self, mut conn: Conn) {
+        if let Some(mut pending) = conn.pending.take() {
+            self.metrics
+                .pending_responses
+                .fetch_sub(1, Ordering::Relaxed);
+            if let Some(resp) = pending() {
+                conn.queue_response(&resp, false);
+            }
+        }
+        let _ = try_flush(&mut conn);
+        self.metrics.active.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A running HTTP server dispatching to a handler function.
@@ -750,9 +803,7 @@ pub struct HttpServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    /// Present iff the readiness backend is active (requested *and*
-    /// supported); `None` means the rotation pool is doing the waiting.
-    reactor: Option<Arc<Reactor>>,
+    waker: Waker,
 }
 
 impl HttpServer {
@@ -766,7 +817,7 @@ impl HttpServer {
     }
 
     /// Bind to `addr` and serve with an explicit configuration: one
-    /// acceptor thread plus `config.workers` pool workers.
+    /// reactor thread plus `config.workers` pool workers.
     pub fn start_with<F>(
         addr: &str,
         config: HttpServerConfig,
@@ -793,47 +844,35 @@ impl HttpServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let reactor = Reactor::new(&listener, config.keep_alive, metrics.clone())?;
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             cvar: Condvar::new(),
             stop: AtomicBool::new(false),
             metrics,
+            max_connections: config.max_connections.max(1),
         });
         let handler: Arc<Handler> = Arc::new(handler);
-        let mut threads = Vec::with_capacity(config.workers + 2);
-
-        // The readiness backend degrades to the pool at runtime (not
-        // compile time) when epoll is unavailable, so the same binary
-        // works everywhere.
-        let reactor = match config.backend {
-            Backend::Pool => None,
-            Backend::Readiness => Reactor::new(config.keep_alive, shared.metrics.clone()).ok(),
-        };
-        if let Some(reactor) = &reactor {
+        let mut threads = Vec::with_capacity(config.workers + 1);
+        {
             let reactor = reactor.clone();
             let shared = shared.clone();
-            threads.push(std::thread::spawn(move || reactor.run(&shared)));
+            threads.push(std::thread::spawn(move || reactor.run(&shared, listener)));
         }
-
-        let accept_shared = shared.clone();
-        let max_connections = config.max_connections.max(1);
-        threads.push(std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, max_connections)
-        }));
         for _ in 0..config.workers.max(1) {
             let shared = shared.clone();
             let handler = handler.clone();
-            let config = config.clone();
             let reactor = reactor.clone();
+            let keep_alive = config.keep_alive;
             threads.push(std::thread::spawn(move || {
-                worker_loop(shared, handler, config, reactor)
+                worker_loop(&shared, handler.as_ref(), &reactor, keep_alive)
             }));
         }
         Ok(HttpServer {
             addr: local,
             shared,
             threads,
-            reactor,
+            waker: reactor.waker(),
         })
     }
 
@@ -842,7 +881,7 @@ impl HttpServer {
         self.addr
     }
 
-    /// Connections currently open (queued or being serviced).
+    /// Connections currently open (queued, being serviced or parked).
     pub fn active_connections(&self) -> usize {
         self.shared.metrics.active.load(Ordering::Relaxed)
     }
@@ -852,21 +891,20 @@ impl HttpServer {
         self.shared.metrics.served_total.load(Ordering::Relaxed)
     }
 
-    /// The pool's live backpressure metrics.
+    /// The server's live backpressure metrics.
     pub fn metrics(&self) -> Arc<PoolMetrics> {
         self.shared.metrics.clone()
     }
 
-    /// The publish doorbell, when the readiness backend is active: ring it
-    /// whenever new data could resolve parked long-polls (the hub rings it
-    /// on every frame publish).  `None` on the rotation pool, whose 2 ms
-    /// revisits need no doorbell.
-    pub fn waker(&self) -> Option<Waker> {
-        self.reactor.as_ref().map(|r| r.waker())
+    /// The publish doorbell: ring it whenever new data could resolve
+    /// parked long-polls (the front end wires it to the hub's wake hook,
+    /// so every frame publish rings it).
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
     }
 
-    /// Gracefully stop the server: no new connections are accepted, workers
-    /// flush any response that is already computable, every connection is
+    /// Gracefully stop the server: the listener is closed, workers flush
+    /// any response that is already computable, every connection is
     /// closed, and all threads are joined.
     pub fn shutdown(mut self) {
         self.stop_and_join();
@@ -874,26 +912,18 @@ impl HttpServer {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-        // Wake the reactor out of epoll_wait so it hands its parked
-        // connections back for draining before it exits.
-        if let Some(reactor) = &self.reactor {
-            reactor.waker().ring();
-        }
+        // Wake the reactor out of epoll_wait so it closes the listener and
+        // hands its parked connections back for draining before it exits.
+        self.waker.ring();
         self.shared.cvar.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // Connections the reactor requeued after the last worker already
-        // exited (stop + momentarily-empty queue) are drained here so a
-        // computable response still reaches the wire.
-        while let Some(mut conn) = self.shared.try_pop() {
-            if let Some(mut pending) = conn.pending.take() {
-                if let Some(resp) = pending() {
-                    conn.queue_response(&resp, false);
-                }
-            }
-            let _ = try_flush(&mut conn);
-            self.shared.metrics.active.fetch_sub(1, Ordering::Relaxed);
+        // Connections requeued after the last worker already exited (stop
+        // + momentarily-empty queue) are drained here so a computable
+        // response still reaches the wire.
+        while let Some(conn) = self.shared.try_pop() {
+            self.shared.close_draining(conn);
         }
     }
 }
@@ -910,127 +940,26 @@ impl Drop for HttpServer {
 /// servers sharing a hub in tests.
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usize) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if shared.metrics.active.load(Ordering::Relaxed) >= max_connections {
-                    // Crisp overload behaviour: tell the client and close.
-                    // Drain whatever request bytes already arrived first —
-                    // closing with unread input makes the kernel RST the
-                    // connection, which would discard the 503 before the
-                    // client reads it.
-                    if stream.set_nonblocking(true).is_ok() {
-                        // Bounded drain: the acceptor must not be pinned
-                        // by one client streaming data at it.
-                        let mut sink = [0u8; 1024];
-                        let mut drained = 0usize;
-                        while drained < 16 << 10 {
-                            match stream.read(&mut sink) {
-                                Ok(n) if n > 0 => drained += n,
-                                _ => break,
-                            }
-                        }
-                        let _ = stream.set_nonblocking(false);
-                    }
-                    let _ = stream.write_all(&HttpResponse::service_unavailable().encode(false));
-                    let _ = stream.shutdown(std::net::Shutdown::Write);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                shared.metrics.active.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                shared.push(Conn {
-                    id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-                    stream,
-                    buf: Vec::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
-                    close_after_flush: false,
-                    pending: None,
-                    pending_keep_alive: true,
-                    saw_eof: false,
-                    served: 0,
-                    last_activity: now,
-                    next_check: now,
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn worker_loop(
-    shared: Arc<Shared>,
-    handler: Arc<Handler>,
-    config: HttpServerConfig,
-    reactor: Option<Arc<Reactor>>,
-) {
-    // Not-yet-due connections skipped since the last productive visit (or
-    // nap).  Napping only after a full rotation's worth of skips keeps the
-    // wake-up latency at ~POLL_INTERVAL regardless of connection count —
-    // a due connection is reached by fast pop/requeue cycles, not behind a
-    // 1ms sleep per queued connection — while still idling the CPU when
-    // nothing is due anywhere.
-    let mut skipped: usize = 0;
-    loop {
-        let stopping = shared.stop.load(Ordering::Relaxed);
-        let Some(mut conn) = shared.pop() else {
-            return; // stop signalled and queue drained
-        };
-        if stopping {
-            // Drain mode: queue a pending response if it is ready right
-            // now, flush what the socket accepts, then close.  Clients
-            // mid-long-poll see EOF and re-poll.
-            if conn.pending.is_some() {
-                shared
-                    .metrics
-                    .pending_responses
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
-            if let Some(mut pending) = conn.pending.take() {
-                if let Some(resp) = pending() {
-                    conn.queue_response(&resp, false);
-                }
-            }
-            let _ = try_flush(&mut conn);
-            shared.metrics.active.fetch_sub(1, Ordering::Relaxed);
+fn worker_loop(shared: &Shared, handler: &Handler, reactor: &Reactor, keep_alive: Duration) {
+    while let Some(conn) = shared.pop() {
+        if shared.stop.load(Ordering::Relaxed) {
+            shared.close_draining(conn);
             continue;
         }
-        let now = Instant::now();
-        if conn.next_check > now {
-            let nap = (conn.next_check - now).min(Duration::from_millis(1));
-            shared.push(conn);
-            skipped += 1;
-            // This worker's share of a full rotation was all not-due:
-            // everything is waiting, so sleep instead of spinning.
-            let share =
-                (shared.metrics.active.load(Ordering::Relaxed) / config.workers.max(1)).max(1);
-            if skipped > share {
-                skipped = 0;
-                std::thread::sleep(nap);
-            }
-            continue;
-        }
-        skipped = 0;
-        // Rotation latency: how far past its due time this connection sat
-        // before a worker reached it — the long-poll wake-up latency the
-        // pool actually delivers, which degrades before the 503 limit.
-        let rotation_us = now.saturating_duration_since(conn.next_check).as_micros() as u64;
+        // Rotation latency: how long this connection sat in the run queue
+        // before a worker reached it — the wake-up latency the pool
+        // actually delivers, which degrades before the 503 limit.
+        let visit_started = Instant::now();
+        let rotation_us = visit_started
+            .saturating_duration_since(conn.queued_at)
+            .as_micros() as u64;
         let had_pending = conn.pending.is_some();
         // Snapshot the publish generation *before* the visit: if the hub
         // publishes between the handler's check and the park below,
         // try_park sees a newer generation and refuses (see the
         // readiness module docs for the full race argument).
-        let gen_at_visit = reactor.as_ref().map_or(0, |r| r.publish_gen());
-        let visit_started = Instant::now();
-        let mut progressed = false;
-        let outcome = service(conn, handler.as_ref(), &config, &shared, &mut progressed);
+        let gen_at_visit = reactor.publish_gen();
+        let outcome = service(conn, handler, keep_alive, &shared.metrics);
         let visit_us = visit_started.elapsed().as_micros() as u64;
         let metrics = &shared.metrics;
         metrics.visits.fetch_add(1, Ordering::Relaxed);
@@ -1044,7 +973,7 @@ fn worker_loop(
         metrics
             .rotation_us_max
             .fetch_max(rotation_us, Ordering::Relaxed);
-        let has_pending = outcome.as_ref().is_some_and(|c| c.pending.is_some());
+        let has_pending = outcome.as_ref().is_some_and(|(c, _)| c.pending.is_some());
         match (had_pending, has_pending) {
             (false, true) => {
                 metrics.pending_responses.fetch_add(1, Ordering::Relaxed);
@@ -1055,21 +984,17 @@ fn worker_loop(
             _ => {}
         }
         match outcome {
-            Some(conn) => {
-                // Readiness backend: a visit that made no progress means
-                // this connection is waiting on its socket, on a publish,
-                // or on a timeout — all of which the reactor can watch
-                // without the pool revisiting the connection every 2 ms.
-                match &reactor {
-                    Some(reactor) if !progressed => {
-                        if let Err(mut refused) = reactor.try_park(conn, gen_at_visit) {
-                            // A publish raced the visit (or registration
-                            // failed): re-check immediately.
-                            refused.next_check = Instant::now();
-                            shared.push(refused);
-                        }
-                    }
-                    _ => shared.push(conn),
+            // Progress may have left more work behind (a pipelined request,
+            // a half-flushed response): visit again right away.
+            Some((conn, true)) => shared.push(conn),
+            // No progress: the connection waits on its socket, on a
+            // publish or on a timeout, all of which the reactor watches.
+            Some((conn, false)) => {
+                if let Err(refused) = reactor.try_park(conn, gen_at_visit) {
+                    // A publish raced the visit, the kernel rejected the
+                    // registration, or the reactor has stopped: re-check
+                    // (or drain) from the run queue.
+                    shared.push(refused);
                 }
             }
             None => {
@@ -1084,17 +1009,15 @@ fn worker_loop(
 /// dispatch every complete request, and decide whether the connection
 /// lives on.  Never blocks — reads, writes and long-polls are all
 /// deferred to later visits when the socket (or the data) is not ready.
-/// Returns the connection to requeue, or `None` when it is closed.
-/// `made_progress` reports whether the visit accomplished anything (bytes
-/// moved or a request dispatched) — the readiness backend parks
-/// connections whose visit reports `false`.
+/// Returns `None` when the connection is closed, otherwise the connection
+/// and whether the visit accomplished anything (bytes moved or a request
+/// dispatched) — a visit without progress parks the connection.
 fn service(
     mut conn: Conn,
     handler: &Handler,
-    config: &HttpServerConfig,
-    shared: &Shared,
-    made_progress: &mut bool,
-) -> Option<Conn> {
+    keep_alive: Duration,
+    metrics: &PoolMetrics,
+) -> Option<(Conn, bool)> {
     let mut progressed = false;
 
     // 1. Flush output queued on earlier visits first: responses must hit
@@ -1173,12 +1096,9 @@ fn service(
         match HttpRequest::parse_buf(&conn.buf) {
             Parse::Complete(mut request, consumed) => {
                 conn.buf.drain(..consumed);
-                conn.served += 1;
-                shared.metrics.served_total.fetch_add(1, Ordering::Relaxed);
+                metrics.served_total.fetch_add(1, Ordering::Relaxed);
                 progressed = true;
-                let rotate = config.max_requests_per_connection > 0
-                    && conn.served >= config.max_requests_per_connection;
-                let keep = request.wants_keep_alive() && !rotate;
+                let keep = request.wants_keep_alive();
                 request.connection = conn.id;
                 match handler(*request) {
                     Outcome::Ready(resp) => conn.queue_response(&resp, keep && !conn.saw_eof),
@@ -1218,8 +1138,7 @@ fn service(
     //    its own deadline instead — unless the peer already closed its
     //    write half, where the idle timeout caps how long a possibly-dead
     //    socket can wait for a frame.
-    if (conn.pending.is_none() || conn.saw_eof) && conn.last_activity.elapsed() > config.keep_alive
-    {
+    if (conn.pending.is_none() || conn.saw_eof) && conn.last_activity.elapsed() > keep_alive {
         return None;
     }
 
@@ -1232,18 +1151,13 @@ fn service(
         return None;
     }
 
-    *made_progress = progressed;
-    conn.next_check = if progressed {
-        Instant::now()
-    } else {
-        Instant::now() + POLL_INTERVAL
-    };
-    Some(conn)
+    Some((conn, progressed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::io::BufReader;
 
     fn parse_ok(raw: &[u8]) -> HttpRequest {
@@ -1340,6 +1254,122 @@ mod tests {
         };
         assert_eq!(second.path, "/b");
         assert_eq!(consumed + consumed2, raw.len());
+    }
+
+    /// One random request: GET or POST, a query string, random headers,
+    /// a `Content-Length` body of random bytes on POSTs, and CRLF or
+    /// bare-LF line endings.
+    fn random_request(rng: &mut StdRng) -> Vec<u8> {
+        let post = rng.gen_bool(0.5);
+        let nl = if rng.gen_bool(0.8) { "\r\n" } else { "\n" };
+        let mut head = format!(
+            "{} /p{}?a={}&b=x%20y+z HTTP/1.{}{nl}",
+            if post { "POST" } else { "GET" },
+            rng.gen_range(0..1000u32),
+            rng.gen_range(0..100u32),
+            rng.gen_range(0..2u32),
+        );
+        for h in 0..rng.gen_range(0..5usize) {
+            head += &format!("X-H{h}: v{}{nl}", rng.gen_range(0..1_000_000u64));
+        }
+        let body: Vec<u8> = if post {
+            (0..rng.gen_range(0..200usize))
+                .map(|_| rng.gen_range(0..256u32) as u8)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        if post {
+            head += &format!("Content-Length: {}{nl}", body.len());
+        }
+        head += nl;
+        let mut bytes = head.into_bytes();
+        bytes.extend(body);
+        bytes
+    }
+
+    /// Feed `chunks` through the connection loop's buffer discipline:
+    /// append, then parse until `Partial`.  Returns every request with its
+    /// consumed byte count, and the bytes left over.
+    fn parse_chunks<'a>(
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<(HttpRequest, usize)>, Vec<u8>) {
+        let mut buf = Vec::new();
+        let mut parsed = Vec::new();
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            loop {
+                match HttpRequest::parse_buf(&buf) {
+                    Parse::Complete(req, consumed) => {
+                        buf.drain(..consumed);
+                        parsed.push((*req, consumed));
+                    }
+                    Parse::Partial => break,
+                    Parse::Invalid => panic!("a well-formed stream parsed as invalid"),
+                }
+            }
+        }
+        (parsed, buf)
+    }
+
+    #[test]
+    fn parse_buf_is_split_invariant_and_survives_mutations() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_4771);
+        for _ in 0..300 {
+            let requests: Vec<Vec<u8>> = (0..rng.gen_range(1..7usize))
+                .map(|_| random_request(&mut rng))
+                .collect();
+            let stream = requests.concat();
+
+            // One shot: every request comes out, each consuming exactly
+            // its own bytes.
+            let (whole, rest) = parse_chunks([stream.as_slice()]);
+            assert!(rest.is_empty(), "a complete stream leaves nothing over");
+            let consumed: Vec<usize> = whole.iter().map(|(_, n)| *n).collect();
+            let lengths: Vec<usize> = requests.iter().map(Vec::len).collect();
+            assert_eq!(consumed, lengths);
+
+            // Any split points: the same requests and byte counts.
+            for _ in 0..4 {
+                let mut cuts: Vec<usize> = (0..rng.gen_range(1..8usize))
+                    .map(|_| rng.gen_range(0..stream.len() + 1))
+                    .collect();
+                cuts.push(0);
+                cuts.push(stream.len());
+                cuts.sort_unstable();
+                let (split, rest) = parse_chunks(cuts.windows(2).map(|w| &stream[w[0]..w[1]]));
+                assert!(rest.is_empty());
+                assert_eq!(split, whole, "split points changed the parse");
+            }
+
+            // Random byte mutations: never a panic, and never more bytes
+            // consumed than were supplied (nor zero, which would stall the
+            // connection loop).
+            for _ in 0..8 {
+                let mut bytes = stream.clone();
+                for _ in 0..rng.gen_range(1..6usize) {
+                    let at = rng.gen_range(0..bytes.len());
+                    match rng.gen_range(0..3u32) {
+                        0 => bytes[at] = rng.gen_range(0..256u32) as u8,
+                        1 => {
+                            let alphabet = b"\r\n:%0123456789";
+                            bytes.insert(at, alphabet[rng.gen_range(0..alphabet.len())]);
+                        }
+                        _ => {
+                            bytes.remove(at);
+                        }
+                    }
+                    if bytes.is_empty() {
+                        break;
+                    }
+                }
+                let mut buf = bytes.as_slice();
+                while let Parse::Complete(_, consumed) = HttpRequest::parse_buf(buf) {
+                    assert!(consumed >= 1 && consumed <= buf.len());
+                    buf = &buf[consumed..];
+                }
+            }
+        }
     }
 
     #[test]
@@ -1634,6 +1664,81 @@ mod tests {
     }
 
     #[test]
+    fn accept_burst_from_one_thread_is_all_served() {
+        // The listener sits in the reactor's epoll set, and one readable
+        // wake drains the whole accept backlog: 64 connects opened from
+        // this one thread queue up together and must all be served.
+        const BURST: usize = 64;
+        let server = HttpServer::start("127.0.0.1:0", |req| {
+            HttpResponse::ok("text/plain", req.path).into()
+        })
+        .unwrap();
+        let streams: Vec<TcpStream> = (0..BURST)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        for (i, mut stream) in streams.iter().enumerate() {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream
+                .write_all(format!("GET /c{i} HTTP/1.1\r\n\r\n").as_bytes())
+                .unwrap();
+        }
+        for (i, stream) in streams.into_iter().enumerate() {
+            let (status, body) = read_response(&mut BufReader::new(stream));
+            assert_eq!(status, 200);
+            assert_eq!(body, format!("/c{i}").as_bytes());
+        }
+        assert_eq!(server.requests_served(), BURST as u64);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_the_listener_and_frees_every_slot() {
+        let server = HttpServer::start("127.0.0.1:0", |req| {
+            if req.path != "/wait" {
+                return HttpResponse::ok("text/plain", "x").into();
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            Outcome::Pending(Box::new(move || {
+                (Instant::now() >= deadline).then(|| HttpResponse::ok("text/plain", "t"))
+            }))
+        })
+        .unwrap();
+        let addr = server.addr();
+        let metrics = server.metrics();
+        // An idle connection and a long-poll, both parked at shutdown.
+        let _idle = TcpStream::connect(addr).unwrap();
+        let mut polling = TcpStream::connect(addr).unwrap();
+        polling.write_all(b"GET /wait HTTP/1.1\r\n\r\n").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut parked = 0;
+        while parked < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            parked = metrics.snapshot().parked_connections;
+        }
+        assert_eq!(parked, 2);
+        server.shutdown();
+        let after = metrics.snapshot();
+        assert_eq!(after.active_connections, 0, "every slot freed");
+        assert_eq!(after.parked_connections, 0);
+        assert_eq!(after.pending_responses, 0);
+        // The listener is closed: a new connect is refused, or reads EOF.
+        if let Ok(mut late) = TcpStream::connect(addr) {
+            late.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let mut byte = [0u8; 1];
+            match late.read(&mut byte) {
+                Ok(0) => {}
+                Ok(_) => panic!("a closed server answered"),
+                Err(e) => assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "a connect after shutdown was left hanging"
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn graceful_shutdown_joins_all_threads() {
         let server = HttpServer::start("127.0.0.1:0", |_| {
             HttpResponse::ok("text/plain", "x").into()
@@ -1646,26 +1751,12 @@ mod tests {
         server.shutdown(); // joins; the test passes iff this returns
     }
 
-    /// Config for the readiness backend; tests using it return early on
-    /// platforms without epoll (where the server would silently fall back
-    /// to the pool and the assertions below about parking would not hold).
-    fn readiness_config() -> HttpServerConfig {
-        HttpServerConfig {
-            backend: Backend::Readiness,
-            ..HttpServerConfig::default()
-        }
-    }
-
     #[test]
     fn readiness_backend_serves_keep_alive_and_pipelining() {
-        if !epoll::is_supported() {
-            return;
-        }
-        let server = HttpServer::start_with("127.0.0.1:0", readiness_config(), |req| {
+        let server = HttpServer::start("127.0.0.1:0", |req| {
             HttpResponse::ok("text/plain", req.path).into()
         })
         .unwrap();
-        assert!(server.waker().is_some(), "readiness backend must be active");
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1699,16 +1790,13 @@ mod tests {
 
     #[test]
     fn readiness_parks_long_polls_and_wakes_them_on_the_doorbell() {
-        if !epoll::is_supported() {
-            return;
-        }
         // The scheduling claim under test: a parked long-poll's closure is
         // re-polled on the reactor's PENDING_RECHECK cadence (~20/s), not
-        // the pool's 2 ms rotation (~500/s).
+        // on a busy rotation (a 2 ms one would be ~500/s).
         let closure_polls = Arc::new(AtomicU64::new(0));
         let released = Arc::new(AtomicBool::new(false));
         let (polls2, released2) = (closure_polls.clone(), released.clone());
-        let server = HttpServer::start_with("127.0.0.1:0", readiness_config(), move |_| {
+        let server = HttpServer::start("127.0.0.1:0", move |_| {
             let (polls, released) = (polls2.clone(), released2.clone());
             Outcome::Pending(Box::new(move || {
                 polls.fetch_add(1, Ordering::Relaxed);
@@ -1718,7 +1806,7 @@ mod tests {
             }))
         })
         .unwrap();
-        let waker = server.waker().expect("readiness backend active");
+        let waker = server.waker();
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1739,14 +1827,14 @@ mod tests {
             "long-poll must park in the reactor"
         );
         // ... and accumulate closure polls at the parked cadence.  300 ms
-        // is ~6 rechecks parked vs ~150 pool rotations; 40 leaves slack
-        // for scheduler noise in either direction.
+        // is ~6 rechecks parked vs ~150 on a 2 ms rotation; 40 leaves
+        // slack for scheduler noise in either direction.
         std::thread::sleep(Duration::from_millis(300));
         let polled = closure_polls.load(Ordering::Relaxed);
         assert!(
             polled < 40,
             "parked long-poll was re-polled {polled} times in 300 ms — \
-             that is rotation-pool cadence, not parking"
+             that is rotation cadence, not parking"
         );
 
         // The doorbell resolves it.
@@ -1760,12 +1848,9 @@ mod tests {
 
     #[test]
     fn readiness_parked_idle_connections_time_out() {
-        if !epoll::is_supported() {
-            return;
-        }
         let config = HttpServerConfig {
             keep_alive: Duration::from_millis(100),
-            ..readiness_config()
+            ..HttpServerConfig::default()
         };
         let server = HttpServer::start_with("127.0.0.1:0", config, |_| {
             HttpResponse::ok("text/plain", "x").into()
@@ -1791,10 +1876,7 @@ mod tests {
 
     #[test]
     fn readiness_graceful_shutdown_with_parked_connections() {
-        if !epoll::is_supported() {
-            return;
-        }
-        let server = HttpServer::start_with("127.0.0.1:0", readiness_config(), |_| {
+        let server = HttpServer::start("127.0.0.1:0", |_| {
             let deadline = Instant::now() + Duration::from_secs(30);
             Outcome::Pending(Box::new(move || {
                 (Instant::now() >= deadline).then(|| HttpResponse::ok("text/plain", "t"))

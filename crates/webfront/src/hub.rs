@@ -49,14 +49,13 @@
 //! and §10 for the snapshot/shard invariants.
 
 use arc_swap::ArcSwap;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use ricsa_hydro::steering::SteerableParams;
 use ricsa_viz::image::Image;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tile edge length (pixels) used for delta frames.
 pub const DELTA_TILE: usize = 32;
@@ -518,13 +517,6 @@ struct HubInner {
     /// Callbacks run after every publish, once the new ring snapshot is
     /// visible — the server wires the HTTP [`crate::Waker`] doorbell here.
     wake_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
-    /// Pairs with `wait_cvar` for [`SessionHub::poll_after`].  Publishers
-    /// acquire it (empty critical section) between storing the ring and
-    /// notifying, which closes the missed-wakeup window: a waiter checks
-    /// the ring *while holding it*, so the publisher cannot slip its
-    /// notify between the waiter's check and its wait.
-    wait_lock: Mutex<()>,
-    wait_cvar: Condvar,
 }
 
 impl FrameRing {
@@ -597,8 +589,6 @@ impl SessionHub {
                     .max(1),
                 compose: Mutex::new(HashMap::new()),
                 wake_hooks: Mutex::new(Vec::new()),
-                wait_lock: Mutex::new(()),
-                wait_cvar: Condvar::new(),
             }),
         }
     }
@@ -615,7 +605,8 @@ impl SessionHub {
     /// Publish a frame; it is assigned the next sequence number, which is
     /// returned.  The full payload — and, when profitable, the delta
     /// against the previous frame — is encoded here, exactly once, no
-    /// matter how many clients will poll it.  Waiting pollers are woken.
+    /// matter how many clients will poll it.  Wake hooks run once it is
+    /// readable.
     ///
     /// The encode/diff work happens *outside* the publisher lock (pollers
     /// read the previous ring snapshot, lock-free, while a frame is
@@ -697,12 +688,7 @@ impl SessionHub {
             inner.compose.lock().clear();
         }
 
-        // Wake waiting pollers.  Taking wait_lock (and releasing it empty)
-        // orders the ring store above before any waiter's re-check: a
-        // waiter holding the lock has either already seen the new ring or
-        // is inside wait_for and will be notified.
-        drop(inner.wait_lock.lock());
-        inner.wait_cvar.notify_all();
+        // Wake waiting pollers, now that the new ring is readable.
         for hook in inner.wake_hooks.lock().iter() {
             hook();
         }
@@ -878,28 +864,6 @@ impl SessionHub {
             json,
             is_delta: true,
         })
-    }
-
-    /// Long-poll: return the oldest retained frame newer than `since`,
-    /// waiting up to `timeout` for one to be published.  `None` on timeout —
-    /// the client simply re-polls, exactly like an `XMLHttpRequest` loop.
-    pub fn poll_after(&self, since: u64, timeout: Duration) -> Option<Frame> {
-        let inner = &*self.inner;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = inner.wait_lock.lock();
-        loop {
-            // Check while holding wait_lock: the publisher stores the ring
-            // *before* acquiring it to notify, so a snapshot read here is
-            // either current or the notify is still coming.
-            if let Some(cached) = inner.ring.load_full().first_after(since) {
-                return Some(cached.frame.clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            inner.wait_cvar.wait_for(&mut guard, deadline - now);
-        }
     }
 
     // ------------------------------------------------------ client cursors
@@ -1079,7 +1043,60 @@ impl SteeringInbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Condvar;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::time::{Duration, Instant};
+
+    /// A poller that waits the way the HTTP reactor does: look with
+    /// `try_payload`, otherwise sleep until a wake hook rings.  The ring
+    /// count is read *before* looking, so a publish landing between the
+    /// look and the sleep is never missed — the reactor's
+    /// publish-generation check in miniature.
+    #[derive(Clone)]
+    struct Waiter {
+        hub: SessionHub,
+        rings: Arc<(Mutex<u64>, Condvar)>,
+    }
+
+    impl Waiter {
+        fn new(hub: &SessionHub) -> Waiter {
+            let rings = Arc::new((Mutex::new(0u64), Condvar::new()));
+            let bell = rings.clone();
+            hub.add_wake_hook(move || {
+                *bell.0.lock() += 1;
+                bell.1.notify_all();
+            });
+            Waiter {
+                hub: hub.clone(),
+                rings,
+            }
+        }
+
+        /// The oldest retained frame newer than `since` (full payload),
+        /// waiting up to `timeout` for one to be published.
+        fn poll(&self, since: u64, timeout: Duration) -> Option<FramePayload> {
+            let deadline = Instant::now() + timeout;
+            loop {
+                let rung = *self.rings.0.lock();
+                if let Some(payload) = self.hub.try_payload(since, PollMode::Full) {
+                    return Some(payload);
+                }
+                let mut count = self.rings.0.lock();
+                while *count == rung {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.rings.1.wait_for(&mut count, deadline - now);
+                }
+            }
+        }
+    }
+
+    fn cycle_of(payload: &FramePayload) -> u64 {
+        let value: serde_json::Value = serde_json::from_str(&payload.json).unwrap();
+        value["cycle"].as_u64().unwrap()
+    }
 
     fn frame(cycle: u64) -> Frame {
         Frame {
@@ -1115,34 +1132,36 @@ mod tests {
     #[test]
     fn poll_returns_only_newer_frames_and_respects_capacity() {
         let hub = SessionHub::new(2);
+        let waiter = Waiter::new(&hub);
         for c in 1..=5 {
             hub.publish(frame(c));
         }
         // Capacity 2: only frames 4 and 5 are retained.
-        let f = hub.poll_after(0, Duration::from_millis(10)).unwrap();
-        assert_eq!(f.cycle, 4);
-        let f = hub
-            .poll_after(f.sequence, Duration::from_millis(10))
-            .unwrap();
-        assert_eq!(f.cycle, 5);
+        let f = waiter.poll(0, Duration::from_millis(10)).unwrap();
+        assert_eq!(cycle_of(&f), 4);
+        let f = waiter.poll(f.sequence, Duration::from_millis(10)).unwrap();
+        assert_eq!(cycle_of(&f), 5);
         // Nothing newer than 5: timeout.
-        assert!(hub
-            .poll_after(f.sequence, Duration::from_millis(20))
-            .is_none());
+        assert!(waiter.poll(f.sequence, Duration::from_millis(20)).is_none());
     }
 
     #[test]
     fn long_poll_wakes_when_a_frame_is_published() {
         let hub = SessionHub::new(4);
-        let hub2 = hub.clone();
-        let waiter = std::thread::spawn(move || hub2.poll_after(0, Duration::from_secs(5)));
+        let waiter = Waiter::new(&hub);
+        let started = Instant::now();
+        let poller = std::thread::spawn(move || waiter.poll(0, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
         hub.publish(frame(9));
-        let got = waiter
+        let got = poller
             .join()
             .unwrap()
             .expect("poller should wake with the frame");
-        assert_eq!(got.cycle, 9);
+        assert_eq!(cycle_of(&got), 9);
+        assert!(
+            started.elapsed() < Duration::from_secs(4),
+            "the wake hook, not the timeout, must end the wait"
+        );
     }
 
     #[test]
@@ -1521,14 +1540,15 @@ mod tests {
         const FRAMES: u64 = 200;
         const POLLERS: usize = 8;
         let hub = SessionHub::new(FRAMES as usize + 1);
+        let waiter = Waiter::new(&hub);
         let pollers: Vec<_> = (0..POLLERS)
             .map(|_| {
-                let hub = hub.clone();
+                let waiter = waiter.clone();
                 std::thread::spawn(move || {
                     let mut seen = Vec::new();
                     let mut since = 0;
                     while since < FRAMES {
-                        if let Some(f) = hub.poll_after(since, Duration::from_secs(10)) {
+                        if let Some(f) = waiter.poll(since, Duration::from_secs(10)) {
                             seen.push(f.sequence);
                             since = f.sequence;
                         }
@@ -1605,8 +1625,9 @@ mod tests {
             p.join().unwrap();
         }
         assert_eq!(hub.latest_sequence(), 2 * PER_PUBLISHER);
+        let waiter = Waiter::new(&hub);
         let mut since = 0;
-        while let Some(f) = hub.poll_after(since, Duration::from_millis(5)) {
+        while let Some(f) = waiter.poll(since, Duration::from_millis(5)) {
             assert_eq!(f.sequence, since + 1, "cache must be gap-free and ordered");
             since = f.sequence;
         }
@@ -1622,13 +1643,14 @@ mod tests {
         // assert strict gap-free delivery.
         const PER_PUBLISHER: u64 = 150;
         let hub = SessionHub::new(2 * PER_PUBLISHER as usize + 1);
+        let waiter = Waiter::new(&hub);
         let pollers: Vec<_> = (0..4)
             .map(|_| {
-                let hub = hub.clone();
+                let waiter = waiter.clone();
                 std::thread::spawn(move || {
                     let mut since = 0;
                     while since < 2 * PER_PUBLISHER {
-                        if let Some(f) = hub.poll_after(since, Duration::from_secs(10)) {
+                        if let Some(f) = waiter.poll(since, Duration::from_secs(10)) {
                             assert_eq!(
                                 f.sequence,
                                 since + 1,

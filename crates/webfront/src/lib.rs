@@ -9,6 +9,9 @@
 //! * [`http`] — an HTTP/1.1 server on a fixed worker thread pool with
 //!   keep-alive connections, pipelining-safe parsing, connection limits,
 //!   deferred (non-blocking) long-poll responses, and graceful shutdown,
+//! * [`readiness`] — the epoll reactor under it: accepts connections and
+//!   parks idle ones and long-polls in the kernel until they are ready
+//!   (Linux-only; elsewhere the server refuses to start),
 //! * [`hub`] — the session hub: frames published by the visualization side
 //!   are base64/JSON-encoded exactly once into shared `Arc<str>` payloads
 //!   (plus a changed-tile *delta* payload), long-polled by any number of
@@ -39,5 +42,5 @@ pub mod server;
 pub use http::{HttpRequest, HttpResponse, HttpServer, HttpServerConfig, Outcome};
 pub use hub::{Frame, FramePayload, PollMode, SessionHub, SteeringInbox};
 pub use multi::{MultiFrontEnd, SessionEndpoints};
-pub use readiness::{Backend, Waker};
+pub use readiness::Waker;
 pub use server::{FrontEndConfig, FrontEndServer};

@@ -2,8 +2,8 @@
 //!
 //! Production scale means many concurrent *sessions* — each user steering
 //! their own pipeline — served from one front end.  [`MultiFrontEnd`]
-//! owns a single [`HttpServer`] (thread pool or readiness reactor, same
-//! as [`crate::server::FrontEndServer`]) and a live registry of session
+//! owns a single [`HttpServer`] (the same worker pool and reactor as
+//! [`crate::server::FrontEndServer`]) and a live registry of session
 //! endpoints.  Every session-scoped route of the single-session front end
 //! is available under a `/s/<id>/` prefix:
 //!
@@ -27,7 +27,6 @@
 
 use crate::http::{HttpRequest, HttpResponse, HttpServer, Outcome, PoolMetrics};
 use crate::hub::{SessionHub, SteeringInbox};
-use crate::readiness::Waker;
 use crate::server::{route, FrontEndConfig};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -51,7 +50,6 @@ type Registry = Arc<RwLock<BTreeMap<u64, SessionEndpoints>>>;
 pub struct MultiFrontEnd {
     http: HttpServer,
     registry: Registry,
-    waker: Option<Waker>,
     config: FrontEndConfig,
 }
 
@@ -72,17 +70,15 @@ impl MultiFrontEnd {
             HttpServer::start_with_metrics(addr, config.http.clone(), metrics, move |req| {
                 route_session(&route_registry, &route_metrics, req)
             })?;
-        let waker = http.waker();
         Ok(MultiFrontEnd {
             http,
             registry,
-            waker,
             config,
         })
     }
 
     /// Register session `id`, creating its hub and inbox (wired to the
-    /// readiness waker, so parked `/s/<id>/api/poll` long-polls wake on
+    /// server's waker, so parked `/s/<id>/api/poll` long-polls wake on
     /// publish).  Idempotent: an already-registered id returns its
     /// existing endpoints.
     pub fn add_session(&self, id: u64) -> SessionEndpoints {
@@ -91,10 +87,8 @@ impl MultiFrontEnd {
             return existing.clone();
         }
         let hub = SessionHub::with_limits(self.config.hub_capacity, self.config.max_clients);
-        if let Some(waker) = &self.waker {
-            let waker = waker.clone();
-            hub.add_wake_hook(move || waker.ring());
-        }
+        let waker = self.http.waker();
+        hub.add_wake_hook(move || waker.ring());
         let endpoints = SessionEndpoints {
             hub,
             inbox: SteeringInbox::new(),

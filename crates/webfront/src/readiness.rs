@@ -1,21 +1,20 @@
-//! Readiness-driven connection scheduling: park idle and long-polling
-//! connections in the kernel instead of rotating them through the worker
-//! pool.
+//! Readiness-driven connection scheduling: the reactor that parks idle
+//! and long-polling connections in the kernel and accepts new ones.
 //!
-//! The rotation pool (the [`Backend::Pool`] path in [`crate::http`])
-//! revisits every live connection roughly every
-//! [`crate::http::POLL_INTERVAL`].  That is simple and portable, but the
-//! cost is linear in *connections*, not in *activity*: ten thousand idle
-//! long-pollers burn ten thousand visits per 2 ms tick to discover that
-//! nothing changed.  This module adds the classic readiness design on top
-//! of the same worker pool:
+//! The worker pool in [`crate::http`] only ever visits connections that
+//! have something to do.  Everything else waits here:
 //!
 //! * A `Reactor` owns an epoll instance (via the `epoll` shim).  When a
 //!   worker visit makes no progress on a connection, the worker *parks* it
-//!   in the reactor instead of requeueing it; the kernel now owns the
-//!   wait.  A parked connection re-enters the run queue only when its
-//!   socket becomes readable/writable, when its deadline passes, or — for
-//!   long-polls — when the hub publishes a frame.
+//!   in the reactor; the kernel now owns the wait.  A parked connection
+//!   re-enters the run queue only when its socket becomes
+//!   readable/writable, when its deadline passes, or — for long-polls —
+//!   when the hub publishes a frame.  Cost grows with *activity*, not with
+//!   the number of open connections.
+//! * The listening socket sits in the same epoll set under a reserved key,
+//!   so one thread both accepts and wakes: a readable listener drains the
+//!   whole accept backlog into the run queue (or answers `503` beyond the
+//!   connection limit) without ever blocking.
 //! * A [`Waker`] is an `eventfd` doorbell the hub rings on publish.  The
 //!   reactor sleeps inside `epoll_wait` with the doorbell registered, so a
 //!   publish wakes every parked long-poll in one syscall, without any
@@ -31,48 +30,23 @@
 //!   stores the frame before ringing, so whichever side wins sees it.
 //!
 //! Route handlers are untouched: the [`crate::http::Outcome::Pending`]
-//! contract was designed so the scheduler underneath could change.  On
-//! platforms without epoll ([`Backend::auto`] probes at runtime) the
-//! server keeps the rotation pool, bit-for-bit unchanged.
+//! contract was designed so the scheduler underneath could change.  There
+//! is no second scheduler: where epoll is unavailable, creating the
+//! reactor — and so starting a server — fails with
+//! `ErrorKind::Unsupported`.
 
 use crate::http::{Conn, PoolMetrics, Shared};
 use epoll::{EventFd, Interest, Poller};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::net::TcpStream;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the HTTP server schedules its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The portable rotation pool: every live connection is revisited
-    /// roughly every [`crate::http::POLL_INTERVAL`].  Cost grows with the
-    /// connection count even when all of them are idle.
-    Pool,
-    /// Kernel readiness (epoll): unproductive connections are parked until
-    /// the kernel reports their socket ready, their deadline passes, or
-    /// the hub's [`Waker`] rings.  Cost grows with *activity*.  Falls back
-    /// to [`Backend::Pool`] at runtime where epoll is unavailable.
-    Readiness,
-}
-
-impl Backend {
-    /// [`Backend::Readiness`] where the platform supports it (Linux),
-    /// [`Backend::Pool`] elsewhere.
-    pub fn auto() -> Backend {
-        if epoll::is_supported() {
-            Backend::Readiness
-        } else {
-            Backend::Pool
-        }
-    }
-}
-
-/// A publish doorbell: ringing it wakes every parked long-poll so the pool
-/// re-checks their deferred responses.  Cheap (`Clone` is an `Arc` clone,
+/// A publish doorbell: ringing it wakes every parked long-poll so the
+/// workers re-check their deferred responses.  Cheap (`Clone` is an `Arc` clone,
 /// [`Waker::ring`] is one `write(2)` on an eventfd), safe to ring from any
 /// thread, and rings coalesce while the reactor is busy.
 #[derive(Debug, Clone)]
@@ -90,6 +64,9 @@ impl Waker {
 /// Registration key reserved for the reactor's own doorbell.
 const BELL_KEY: u64 = u64::MAX;
 
+/// Registration key reserved for the listening socket.
+const LISTENER_KEY: u64 = u64::MAX - 1;
+
 /// Upper bound between reactor wake-ups, so the stop flag is observed
 /// promptly even if the doorbell ring is lost to a platform quirk.
 const MAX_WAIT: Duration = Duration::from_millis(100);
@@ -97,9 +74,8 @@ const MAX_WAIT: Duration = Duration::from_millis(100);
 /// Park deadline for a connection holding a deferred (long-poll) response:
 /// even with no publish and no socket activity, the pending closure is
 /// re-polled at least this often, which bounds how late its own timeout
-/// response can be.  Far above the pool's 2 ms rotation — that is the
-/// point: a parked long-poll costs ~20 closure polls per second instead of
-/// ~500, and publishes still wake it in microseconds via the [`Waker`].
+/// response can be.  A parked long-poll costs ~20 closure polls per
+/// second, and publishes still wake it in microseconds via the [`Waker`].
 pub(crate) const PENDING_RECHECK: Duration = Duration::from_millis(50);
 
 /// Slack added to the keep-alive deadline of parked idle connections, so
@@ -123,12 +99,15 @@ struct Registry {
     parked: HashMap<u64, ParkedConn>,
     deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
     next_key: u64,
+    /// Set once the reactor has handed everything back on stop; later
+    /// parks are refused so no connection is stranded in a dead reactor.
+    closed: bool,
 }
 
-/// The readiness core: an epoll instance, the publish doorbell, and the
-/// parked-connection registry.  One reactor thread sleeps in
-/// [`Poller::wait`]; worker threads park connections into it via
-/// [`Reactor::try_park`].
+/// The readiness core: an epoll instance watching the listener, the
+/// publish doorbell and every parked connection, plus the parked-connection
+/// registry.  One reactor thread sleeps in [`Poller::wait`]; worker threads
+/// park connections into it via [`Reactor::try_park`].
 pub(crate) struct Reactor {
     poller: Poller,
     bell: Arc<EventFd>,
@@ -140,29 +119,29 @@ pub(crate) struct Reactor {
     metrics: Arc<PoolMetrics>,
 }
 
-fn raw_fd(stream: &TcpStream) -> epoll::RawFd {
-    #[cfg(unix)]
-    {
-        use std::os::fd::AsRawFd;
-        stream.as_raw_fd()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = stream;
-        -1
-    }
+#[cfg(unix)]
+fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> epoll::RawFd {
+    socket.as_raw_fd()
+}
+
+/// No descriptor to hand out where no [`Poller`] can be built.
+#[cfg(not(unix))]
+fn raw_fd<T>(_socket: &T) -> epoll::RawFd {
+    -1
 }
 
 impl Reactor {
-    /// Create the reactor, or fail where epoll is unsupported (the caller
-    /// falls back to the rotation pool).
+    /// Create the reactor watching `listener` (non-blocking), or fail where
+    /// epoll is unsupported.
     pub(crate) fn new(
+        listener: &TcpListener,
         keep_alive: Duration,
         metrics: Arc<PoolMetrics>,
     ) -> std::io::Result<Arc<Reactor>> {
         let poller = Poller::new()?;
         let bell = Arc::new(EventFd::new()?);
         poller.add(bell.as_raw_fd(), BELL_KEY, Interest::readable())?;
+        poller.add(raw_fd(listener), LISTENER_KEY, Interest::readable())?;
         Ok(Arc::new(Reactor {
             poller,
             bell,
@@ -170,6 +149,7 @@ impl Reactor {
                 parked: HashMap::new(),
                 deadlines: BinaryHeap::new(),
                 next_key: 0,
+                closed: false,
             }),
             publish_gen: AtomicU64::new(0),
             keep_alive,
@@ -192,8 +172,8 @@ impl Reactor {
 
     /// Park a connection that made no progress this visit.  Returns the
     /// connection back (`Err`) when parking is refused — a publish raced
-    /// the visit, or the kernel rejected the registration — in which case
-    /// the caller requeues it for an immediate re-visit.  The large
+    /// the visit, the kernel rejected the registration, or the reactor has
+    /// stopped — in which case the caller requeues it.  The large
     /// `Err` variant is the point: a refused park must hand the whole
     /// connection back by value, not a reference into the registry.
     #[allow(clippy::result_large_err)]
@@ -201,6 +181,9 @@ impl Reactor {
         let now = Instant::now();
         let wake_on_publish = conn.pending.is_some();
         let mut registry = self.registry.lock();
+        if registry.closed {
+            return Err(conn);
+        }
         if wake_on_publish && self.publish_gen.load(Ordering::SeqCst) != gen_at_visit {
             // A frame was published after the handler last looked at the
             // hub; parking now could strand the long-poll for a full
@@ -238,31 +221,32 @@ impl Reactor {
         Ok(())
     }
 
-    /// Remove one parked connection (deleting its epoll registration) and
-    /// mark it due immediately.  Caller holds the registry lock.
-    fn unpark(&self, registry: &mut Registry, key: u64, now: Instant, out: &mut Vec<Conn>) {
+    /// Remove one parked connection (deleting its epoll registration).
+    /// Caller holds the registry lock.
+    fn unpark(&self, registry: &mut Registry, key: u64, out: &mut Vec<Conn>) {
         if let Some(parked) = registry.parked.remove(&key) {
-            let mut conn = parked.conn;
-            let _ = self.poller.delete(raw_fd(&conn.stream));
-            conn.next_check = now;
-            out.push(conn);
+            let _ = self.poller.delete(raw_fd(&parked.conn.stream));
+            out.push(parked.conn);
         }
     }
 
-    /// The reactor thread body: sleep in `epoll_wait`, move woken
-    /// connections back to the run queue, and drain everything on stop.
-    pub(crate) fn run(&self, shared: &Shared) {
+    /// The reactor thread body: sleep in `epoll_wait`, accept new
+    /// connections, move woken ones back to the run queue, and on stop
+    /// close the listener and hand everything back for draining.
+    pub(crate) fn run(&self, shared: &Shared, listener: TcpListener) {
+        let mut listener = Some(listener);
         let mut events = Vec::new();
         loop {
             if shared.stop.load(Ordering::Relaxed) {
-                // Hand every parked connection back so the drain path can
-                // flush and close it.
+                if let Some(listener) = listener.take() {
+                    let _ = self.poller.delete(raw_fd(&listener));
+                }
                 let mut registry = self.registry.lock();
+                registry.closed = true;
                 let keys: Vec<u64> = registry.parked.keys().copied().collect();
                 let mut woken = Vec::with_capacity(keys.len());
-                let now = Instant::now();
                 for key in keys {
-                    self.unpark(&mut registry, key, now, &mut woken);
+                    self.unpark(&mut registry, key, &mut woken);
                 }
                 self.metrics.set_parked(0);
                 drop(registry);
@@ -289,11 +273,12 @@ impl Reactor {
             let mut woken = Vec::new();
             let mut registry = self.registry.lock();
             let mut bell_rang = false;
+            let mut backlog = false;
             for event in &events {
-                if event.key == BELL_KEY {
-                    bell_rang = true;
-                } else {
-                    self.unpark(&mut registry, event.key, now, &mut woken);
+                match event.key {
+                    BELL_KEY => bell_rang = true,
+                    LISTENER_KEY => backlog = true,
+                    key => self.unpark(&mut registry, key, &mut woken),
                 }
             }
             if bell_rang {
@@ -310,7 +295,7 @@ impl Reactor {
                     .map(|(&k, _)| k)
                     .collect();
                 for key in due {
-                    self.unpark(&mut registry, key, now, &mut woken);
+                    self.unpark(&mut registry, key, &mut woken);
                 }
             }
             while let Some(&Reverse((when, key))) = registry.deadlines.peek() {
@@ -318,12 +303,21 @@ impl Reactor {
                     break;
                 }
                 registry.deadlines.pop();
-                self.unpark(&mut registry, key, now, &mut woken);
+                self.unpark(&mut registry, key, &mut woken);
             }
             self.metrics.set_parked(registry.parked.len());
             drop(registry);
-            if !woken.is_empty() {
-                shared.push_batch(woken);
+            shared.push_batch(woken);
+            if backlog {
+                if let Some(open) = &listener {
+                    if shared.accept_backlog(open).is_err() {
+                        // An accept error other than an empty backlog
+                        // ends accepting for good; established
+                        // connections keep being served.
+                        let _ = self.poller.delete(raw_fd(open));
+                        listener = None;
+                    }
+                }
             }
         }
     }

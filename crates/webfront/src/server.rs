@@ -16,10 +16,11 @@
 //!   (or carries an explicit `since`), so a response that dies with its
 //!   socket is re-delivered rather than skipped.  The long poll never
 //!   blocks a server worker: the route returns a deferred
-//!   [`Outcome::Pending`] the pool re-polls,
+//!   [`Outcome::Pending`] the server parks until the hub publishes,
 //! * `GET /api/frame` — the latest frame immediately (or 404),
 //! * `GET /api/stats` — server-side backpressure metrics (run-queue depth,
-//!   worker rotation latency, per-visit service time, parked long-polls),
+//!   run-queue wait after a wake, per-visit service time, parked
+//!   connections),
 //!   so overload is observable *before* the 503 connection limit trips,
 //! * `POST /api/steer` — submit steering parameters as JSON.
 //!
@@ -29,7 +30,6 @@
 use crate::http::{HttpRequest, HttpResponse, HttpServer, HttpServerConfig, Outcome, PoolMetrics};
 use crate::hub::{PollMode, SessionHub, SteeringInbox};
 use crate::page::INDEX_HTML;
-use crate::readiness::Backend;
 use ricsa_hydro::steering::SteerableParams;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -49,13 +49,7 @@ pub struct FrontEndConfig {
 impl Default for FrontEndConfig {
     fn default() -> Self {
         FrontEndConfig {
-            // The front end defaults to the readiness backend where the
-            // platform has it: long-polls park in the kernel and the hub's
-            // wake hook rings them awake on publish.
-            http: HttpServerConfig {
-                backend: Backend::auto(),
-                ..HttpServerConfig::default()
-            },
+            http: HttpServerConfig::default(),
             hub_capacity: 32,
             max_clients: 1024,
         }
@@ -90,13 +84,12 @@ impl FrontEndServer {
         let http = HttpServer::start_with_metrics(addr, config.http, metrics, move |req| {
             route(&route_hub, &route_inbox, &route_metrics, req)
         })?;
-        // Readiness backend: ring the reactor doorbell on every publish so
-        // parked long-polls wake the moment their frame exists.  The hub
-        // runs hooks only after the new frame is readable, so a woken
-        // worker always finds it.
-        if let Some(waker) = http.waker() {
-            hub.add_wake_hook(move || waker.ring());
-        }
+        // Ring the reactor doorbell on every publish so parked long-polls
+        // wake the moment their frame exists.  The hub runs hooks only
+        // after the new frame is readable, so a woken worker always finds
+        // it.
+        let waker = http.waker();
+        hub.add_wake_hook(move || waker.ring());
         Ok(FrontEndServer { http, hub, inbox })
     }
 
@@ -221,8 +214,9 @@ pub fn route(
             let deadline = Instant::now() + Duration::from_millis(timeout_ms);
             let hub = hub.clone();
             let connection = req.connection;
-            // Deferred response: the HTTP pool re-polls this closure until
-            // a frame arrives or the deadline passes.  No worker blocks.
+            // Deferred response: the server re-polls this closure whenever
+            // the connection wakes (a publish rings it) until a frame
+            // arrives or the deadline passes.  No worker blocks.
             Outcome::Pending(Box::new(move || {
                 if let Some(payload) = hub.try_payload(since, mode) {
                     if let Some(client) = client {

@@ -6,9 +6,8 @@
 //! and level-triggered registration), an [`EventFd`] (the classic
 //! wake-a-sleeping-`epoll_wait` doorbell), and [`raise_nofile_limit`]
 //! (needed before opening tens of thousands of benchmark sockets).  On
-//! other platforms every constructor returns `ErrorKind::Unsupported`, so
-//! callers can probe with [`is_supported`] and fall back to a portable
-//! code path at runtime rather than at compile time.
+//! other platforms the crate still compiles, but every constructor returns
+//! `ErrorKind::Unsupported`.
 
 /// Raw file descriptor alias, so the public API does not depend on
 /// `std::os::unix` on non-Unix targets.
@@ -303,17 +302,12 @@ mod sys {
         }
         Ok(capped.cur)
     }
-
-    /// Whether the readiness backend can work here (always on Linux).
-    pub fn is_supported() -> bool {
-        true
-    }
 }
 
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Portable fallback: every constructor reports `Unsupported`, and the
-    //! serving layer falls back to its rotation worker pool at runtime.
+    //! Off Linux: every constructor reports `Unsupported`, so the serving
+    //! layer refuses to start instead of running without readiness.
 
     use super::{Event, Interest, RawFd};
     use std::io;
@@ -331,7 +325,7 @@ mod sys {
     pub struct Poller {}
 
     impl Poller {
-        /// Always fails off Linux; probe with [`super::is_supported`].
+        /// Always fails off Linux.
         pub fn new() -> io::Result<Poller> {
             Err(unsupported())
         }
@@ -391,19 +385,9 @@ mod sys {
     pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
         Ok(target)
     }
-
-    /// Whether the readiness backend can work here (never, off Linux).
-    pub fn is_supported() -> bool {
-        false
-    }
 }
 
 pub use sys::{raise_nofile_limit, EventFd, Poller};
-
-/// Whether this platform supports the readiness backend at all.
-pub fn is_supported() -> bool {
-    sys::is_supported()
-}
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
@@ -528,6 +512,5 @@ mod tests {
         // call must at least not lower whatever is already in effect.
         let achieved = raise_nofile_limit(4096).unwrap();
         assert!(achieved >= 4096);
-        assert!(is_supported());
     }
 }

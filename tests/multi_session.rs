@@ -18,7 +18,7 @@
 use ricsa_viz::image::Image;
 use ricsa_webfront::http::read_blocking_response;
 use ricsa_webfront::hub::{apply_delta, delta_from_json, image_from_json};
-use ricsa_webfront::{Backend, Frame, FrontEndConfig, HttpServerConfig, MultiFrontEnd};
+use ricsa_webfront::{Frame, FrontEndConfig, MultiFrontEnd};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -202,10 +202,6 @@ fn run_delta_poller(addr: SocketAddr, session: u64, done: Arc<AtomicBool>) {
 #[test]
 fn racing_sessions_never_leak_frames_or_drop_sequences() {
     let config = FrontEndConfig {
-        http: HttpServerConfig {
-            backend: Backend::Readiness,
-            ..HttpServerConfig::default()
-        },
         hub_capacity: 64,
         ..FrontEndConfig::default()
     };

@@ -106,10 +106,10 @@ fn readme_serving_layer_section_matches_the_code() {
 }
 
 /// The readiness-core claims in the serving-layer section must hold
-/// against the crate surface: `Backend::auto()` picks kernel readiness
-/// where epoll exists, the RLE wire codec is lossless, and a client 2-8
-/// frames behind is served one composed delta chain that applies exactly
-/// to the frame it retains.
+/// against the crate surface: a waiting long-poll parks in the reactor
+/// (the `parked_connections` gauge) until `HttpServer::waker()` rings, the
+/// RLE wire codec is lossless, and a client 2-8 frames behind is served
+/// one composed delta chain that applies exactly to the frame it retains.
 #[test]
 fn readme_readiness_section_matches_the_code() {
     let text = readme();
@@ -120,7 +120,8 @@ fn readme_readiness_section_matches_the_code() {
         "composed delta chains",
         "RLE",
         "audited on the wire",
-        "Backend::auto()",
+        "HttpServer::waker()",
+        "Linux-only",
         "arc_swap",
     ] {
         assert!(
@@ -129,21 +130,49 @@ fn readme_readiness_section_matches_the_code() {
         );
     }
     use ricsa::viz::image::Image;
+    use ricsa::webfront::http::{read_blocking_response, HttpResponse, HttpServer, Outcome};
     use ricsa::webfront::hub::{
         apply_delta, delta_from_json, image_from_json, Frame, PollMode, SessionHub,
     };
-    use ricsa::webfront::Backend;
-    // Auto-selection: kernel readiness wherever epoll exists (CI runs on
-    // Linux); the portable pool everywhere else.
-    if cfg!(target_os = "linux") {
-        assert_eq!(
-            Backend::auto(),
-            Backend::Readiness,
-            "Backend::auto() promise"
-        );
-    } else {
-        assert_eq!(Backend::auto(), Backend::Pool, "portable fallback promise");
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    // One scheduler, on readiness: a waiting long-poll parks in the
+    // reactor until the waker rings.
+    let released = Arc::new(AtomicBool::new(false));
+    let flag = released.clone();
+    let server = HttpServer::start("127.0.0.1:0", move |_| {
+        let flag = flag.clone();
+        Outcome::Pending(Box::new(move || {
+            flag.load(Ordering::SeqCst)
+                .then(|| HttpResponse::ok("text/plain", "woken"))
+        }))
+    })
+    .expect("serving starts on Linux");
+    let waker: ricsa::webfront::Waker = server.waker();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(b"GET /wait HTTP/1.1\r\n\r\n").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut parked = 0;
+    while parked == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+        parked = server.metrics().snapshot().parked_connections;
     }
+    assert_eq!(parked, 1, "parked-gauge promise");
+    released.store(true, Ordering::SeqCst);
+    waker.ring();
+    let (status, _, body) = read_blocking_response(&mut BufReader::new(stream)).unwrap();
+    assert_eq!(
+        (status, body.as_slice()),
+        (200, &b"woken"[..]),
+        "waker promise"
+    );
+    server.shutdown();
     let hub = SessionHub::default();
     let publish = |img: &Image, cycle: u64| {
         hub.publish(Frame {
